@@ -1,83 +1,41 @@
-"""Matroids and minimum-weight common independent sets.
+"""Minimum-weight common independent sets of a graphic and a partition
+matroid.
 
-The solver grows a common independent set one element at a time, each
-round augmenting along a minimum-cost source-to-sink path in the exchange
-digraph (cheapest total cost, then fewest arcs).  That path keeps the
-intermediate sets extreme, which is what makes the greedy rounds globally
-optimal.
+This is the matroid intersection behind ``min_sbst_bipartite``: spanning
+trees are the bases of the graphic matroid, and a partition matroid caps
+each plus vertex's star.  The solver grows a common independent set one
+element at a time, each round augmenting along a minimum-cost
+source-to-sink path in the exchange digraph (cheapest total cost, then
+fewest arcs).  That path keeps the intermediate sets extreme, which is
+what makes the greedy rounds globally optimal.
 
 Exchange arcs come in two bundles per round.  For y outside I that the
-first matroid cannot absorb directly, arcs run from each element of the
-circuit of I + y into y; when I + y is independent the arcs from all of I
-are encoded through a shared hub node instead of materializing |I| arcs.
-The second matroid contributes the mirrored arcs out of y.  Arc costs
-charge +w(y) for entering the set and -w(x) for leaving it, and every
-real arc also counts one step for the tie-break; hub hops are free and
-stepless on entry so a hub-routed exchange still costs exactly one step.
+graphic matroid cannot absorb directly, arcs run from each edge on the
+tree path of I + y into y; when I + y is independent the arcs from all
+of I are encoded through a shared hub node instead of materializing |I|
+arcs.  The partition matroid contributes the mirrored arcs out of y, one
+to each member of y's part.  Arc costs charge +w(y) for entering the set
+and -w(x) for leaving it, and every real arc also counts one step for the
+tie-break; hub hops are free and stepless on entry so a hub-routed
+exchange still costs exactly one step.
+
+Shortest paths come from a label-correcting search: queue-based
+Bellman-Ford (SPFA) over per-node out-arc lists.  Each node keeps as its
+predecessor the smallest source id among its tight in-arcs, so ties
+between equally short paths go to smaller node ids.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Protocol, Sequence
-
-import numpy as np
+from collections import deque
+from math import inf
+from typing import Iterable, Sequence
 
 from .errors import GroundSetMismatchError
 from .graph import WeightedGraph
 
 
-class ExchangeContext(Protocol):
-    def addable(self, y: int) -> bool:
-        """Is I + y independent?"""
-
-    def swap_candidates(self, y: int) -> Sequence[int]:
-        """Elements x of I with I - x + y independent, for dependent I + y."""
-
-
-class Matroid:
-    """Base class; subclasses supply ``ground_size`` and ``is_independent``.
-
-    ``prepare`` returns a per-round exchange context.  The default one
-    answers queries with independence tests alone, so any subclass is
-    usable, just slower.
-    """
-
-    ground_size: int
-
-    def is_independent(self, selection: Iterable[int]) -> bool:
-        raise NotImplementedError
-
-    def rank(self, subset: Iterable[int] | None = None) -> int:
-        pool = sorted(subset) if subset is not None else range(self.ground_size)
-        picked: list[int] = []
-        for x in pool:
-            picked.append(x)
-            if not self.is_independent(picked):
-                picked.pop()
-        return len(picked)
-
-    def prepare(self, selection: Sequence[int]) -> ExchangeContext:
-        return _GenericContext(self, list(selection))
-
-
-class _GenericContext:
-    def __init__(self, m: Matroid, selection: list[int]):
-        self.m = m
-        self.selection = selection
-
-    def addable(self, y: int) -> bool:
-        return self.m.is_independent(self.selection + [y])
-
-    def swap_candidates(self, y: int) -> list[int]:
-        out = []
-        for i, x in enumerate(self.selection):
-            trial = self.selection[:i] + self.selection[i + 1 :] + [y]
-            if self.m.is_independent(trial):
-                out.append(x)
-        return out
-
-
-class GraphicMatroid(Matroid):
+class GraphicMatroid:
     """Forests of a graph; ground elements are the graph's edge indices."""
 
     def __init__(self, graph: WeightedGraph):
@@ -154,7 +112,7 @@ class _ForestContext:
         return path
 
 
-class PartitionMatroid(Matroid):
+class PartitionMatroid:
     """At most ``capacities[i]`` elements from ``parts[i]``.
 
     The parts must partition the ground set exactly.
@@ -209,89 +167,58 @@ class _PartitionContext:
         return self.members[self.m.part_of[y]]
 
 
-def free_matroid(ground_size: int) -> PartitionMatroid:
-    """Every subset independent."""
-    return PartitionMatroid([range(ground_size)], [ground_size])
+def _shortest_paths(
+    out: list[list[tuple[int, int]]], start: int
+) -> tuple[list[float], list[int]]:
+    """Shortest combined keys from ``start`` and, per node, the smallest
+    source id among its tight in-arcs (-1 where there is none).
 
-
-class TruncatedMatroid(Matroid):
-    """The inner matroid with rank capped at k."""
-
-    def __init__(self, inner: Matroid, k: int):
-        if k < 0:
-            raise ValueError("truncation rank must be nonnegative")
-        self.inner = inner
-        self.k = k
-        self.ground_size = inner.ground_size
-
-    def is_independent(self, selection: Iterable[int]) -> bool:
-        sel = list(selection)
-        return len(sel) <= self.k and self.inner.is_independent(sel)
-
-    def prepare(self, selection: Sequence[int]) -> "_TruncatedContext":
-        return _TruncatedContext(self, selection)
-
-
-class _TruncatedContext:
-    def __init__(self, m: TruncatedMatroid, selection: Sequence[int]):
-        self.at_cap = len(selection) >= m.k
-        self.selection = list(selection)
-        self.inner = m.inner.prepare(selection)
-
-    def addable(self, y: int) -> bool:
-        return not self.at_cap and self.inner.addable(y)
-
-    def swap_candidates(self, y: int) -> Sequence[int]:
-        if self.at_cap and self.inner.addable(y):
-            # At the cap the circuit of I + y is all of I + y.
-            return self.selection
-        return self.inner.swap_candidates(y)
-
-
-def truncate(m: Matroid, k: int) -> TruncatedMatroid:
-    return TruncatedMatroid(m, k)
-
-
-_UNREACHED = np.int64(2) ** 62
-
-
-def _relax_to_fixpoint(
-    node_count: int, src: np.ndarray, dst: np.ndarray, arc_key: np.ndarray
-) -> np.ndarray:
-    """Shortest combined keys from the last node over the given arcs.
-
-    Vectorized Bellman-Ford: arcs are pre-sorted by destination, so one
-    pass is a gather, an add, and a grouped minimum.  The exchange digraph
-    of an extreme selection has no negative-cost cycle, hence the pass
-    bound; exceeding it means a bug, not a slow input.
+    Shortest keys are unique, so the predecessors do not depend on the
+    order of the search.  The exchange digraph of an extreme selection
+    has no negative-cost cycle, so no node is queued more than
+    ``len(out)`` times; exceeding that means a bug, not a slow input.
     """
-    dist = np.full(node_count, _UNREACHED, dtype=np.int64)
-    dist[node_count - 1] = 0
-    uniq, starts = np.unique(dst, return_index=True)
-    for _ in range(node_count + 1):
-        cand = np.where(dist[src] >= _UNREACHED, _UNREACHED, dist[src] + arc_key)
-        grouped = np.minimum.reduceat(cand, starts)
-        cur = dist[uniq]
-        improved = grouped < cur
-        if not improved.any():
-            return dist
-        dist[uniq] = np.where(improved, grouped, cur)
-    raise AssertionError("negative-cost cycle in exchange digraph")
+    node_count = len(out)
+    dist: list[float] = [inf] * node_count
+    pred = [-1] * node_count
+    queued = [False] * node_count
+    visits = [0] * node_count
+    dist[start] = 0
+    queue = deque([start])
+    while queue:
+        s = queue.popleft()
+        queued[s] = False
+        ds = dist[s]
+        for d, key in out[s]:
+            nd = ds + key
+            if nd < dist[d]:
+                dist[d] = nd
+                pred[d] = s
+                if not queued[d]:
+                    visits[d] += 1
+                    if visits[d] > node_count:
+                        raise AssertionError("negative-cost cycle in exchange digraph")
+                    queued[d] = True
+                    queue.append(d)
+            elif nd == dist[d] and s < pred[d]:
+                pred[d] = s
+    return dist, pred
 
 
 def min_weight_common_base(
-    m1: Matroid,
-    m2: Matroid,
+    m1: GraphicMatroid | PartitionMatroid,
+    m2: GraphicMatroid | PartitionMatroid,
     weights: Sequence[int],
     k: int,
 ) -> frozenset[int] | None:
     """Minimum-weight set of size k independent in both matroids, or None
     when no common independent set reaches that size.
 
-    k rounds of shortest augmenting paths; see the module docstring for
-    the arc construction.  Combined integer keys order paths by cost and
-    then by arc count, and path reconstruction breaks remaining ties
-    toward smaller node ids, so the result is deterministic.
+    k rounds of shortest augmenting paths, each found by the
+    label-correcting search; see the module docstring for the arc
+    construction.  Combined integer keys order paths by cost and then by
+    arc count, and every node's predecessor is the smallest source id
+    among its tight in-arcs, so the result is deterministic.
     """
     if m1.ground_size != m2.ground_size:
         raise GroundSetMismatchError(
@@ -314,15 +241,7 @@ def min_weight_common_base(
     for _ in range(k):
         ctx1 = m1.prepare(selection)
         ctx2 = m2.prepare(selection)
-        a_src: list[int] = []
-        a_dst: list[int] = []
-        a_key: list[int] = []
-
-        def arc(s: int, d: int, key: int) -> None:
-            a_src.append(s)
-            a_dst.append(d)
-            a_key.append(key)
-
+        out: list[list[tuple[int, int]]] = [[] for _ in range(node_count)]
         sinks: list[int] = []
         any_source = False
         for y in range(g):
@@ -331,64 +250,46 @@ def min_weight_common_base(
             enter = weights[y] * scale + 1
             if ctx1.addable(y):
                 any_source = True
-                arc(src_node, y, enter)
+                out[src_node].append((y, enter))
                 if selection:
-                    arc(hub1, y, enter)
+                    out[hub1].append((y, enter))
             else:
                 for x in ctx1.swap_candidates(y):
-                    arc(x, y, enter)
+                    out[x].append((y, enter))
             if ctx2.addable(y):
                 sinks.append(y)
                 if selection:
-                    arc(y, hub2, 0)
+                    out[y].append((hub2, 0))
             else:
                 for x in ctx2.swap_candidates(y):
-                    arc(y, x, -weights[x] * scale + 1)
+                    out[y].append((x, -weights[x] * scale + 1))
         for x in selection:
-            arc(x, hub1, 0)
-            arc(hub2, x, -weights[x] * scale + 1)
+            out[x].append((hub1, 0))
+            out[hub2].append((x, -weights[x] * scale + 1))
         if not any_source or not sinks:
             return None
 
-        # Sort by destination, then by source inside each group, so the
-        # fixpoint pass can group by destination and the predecessor walk
-        # meets candidates in ascending source order.
-        src_a = np.asarray(a_src, dtype=np.int64)
-        dst_a = np.asarray(a_dst, dtype=np.int64)
-        key_a = np.asarray(a_key, dtype=np.int64)
-        order = np.argsort(dst_a * node_count + src_a, kind="stable")
-        src_a, dst_a, key_a = src_a[order], dst_a[order], key_a[order]
-        dist = _relax_to_fixpoint(node_count, src_a, dst_a, key_a)
-
+        dist, pred = _shortest_paths(out, src_node)
         best_sink = -1
         for y in sinks:
-            if dist[y] < _UNREACHED and (best_sink == -1 or dist[y] < dist[best_sink]):
+            if dist[y] < inf and (best_sink == -1 or dist[y] < dist[best_sink]):
                 best_sink = y
         if best_sink == -1:
             return None
 
-        # Walk tight predecessors back to the source; ties go to the
-        # smallest source id.  Combined keys make every such walk a simple
-        # path.
-        uniq, starts = np.unique(dst_a, return_index=True)
-        bounds = np.append(starts, len(dst_a))
+        # Combined keys make every predecessor walk a simple path.
         node = best_sink
         toggled: list[int] = []
         while node != src_node:
             if node < g:
                 toggled.append(node)
-            gi = int(np.searchsorted(uniq, node))
-            pred = -1
-            for idx in range(int(bounds[gi]), int(bounds[gi + 1])):
-                s = int(src_a[idx])
-                if dist[s] < _UNREACHED and dist[s] + key_a[idx] == dist[node]:
-                    pred = s
-                    break
-            assert pred != -1, "shortest-path keys admit no predecessor"
-            node = pred
+            if pred[node] == -1:
+                raise AssertionError("shortest-path keys admit no predecessor")
+            node = pred[node]
         for x in toggled:
             in_set[x] = not in_set[x]
         selection = [x for x in range(g) if in_set[x]]
 
-    assert m1.is_independent(selection) and m2.is_independent(selection)
+    if not (m1.is_independent(selection) and m2.is_independent(selection)):
+        raise AssertionError("intersection result is not independent in both matroids")
     return frozenset(selection)

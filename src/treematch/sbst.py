@@ -59,7 +59,8 @@ def is_strongly_balanced(tree: BipartitionedTree) -> SbstCertificate | None:
         if any(tree.degree[v] != 2 for v in members if v != leaves[0]):
             continue
         matching = tree_perfect_matching(tree)
-        assert matching is not None, "degree pattern held without a perfect matching"
+        if matching is None:
+            raise AssertionError("degree pattern held without a perfect matching")
         return SbstCertificate(frozenset(members), leaves[0], matching)
     return None
 
@@ -144,5 +145,6 @@ def min_sbst_bipartite(g: WeightedGraph) -> MinSbstResult:
         raise Infeasible("no strongly balanced spanning tree")
     tree = as_bipartitioned_tree(g, best[1])
     cert = is_strongly_balanced(tree)
-    assert cert is not None, "matroid intersection returned a non-balanced tree"
+    if cert is None:
+        raise AssertionError("matroid intersection returned a non-balanced tree")
     return MinSbstResult(best[1], best[0], cert)

@@ -2,10 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import treematch
 from treematch import WeightedGraph, format_graph, parse_graph
 from treematch.cli import main
 from treematch.generate import complete, cube, default_rotation
@@ -446,3 +450,19 @@ class TestPareser:
             main(["--help"])
         out, _ = capsys.readouterr()
         assert "minsbst-bipartite" in out
+
+
+def test_import_loads_only_the_standard_library():
+    # A fresh interpreter, pointed at the package under test, lists the
+    # top-level packages outside the standard library that importing
+    # treematch and its CLI pulls in.
+    env = {**os.environ, "PYTHONPATH": str(Path(treematch.__file__).resolve().parents[1])}
+    code = (
+        "import sys; before = set(sys.modules); import treematch, treematch.cli; "
+        "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+        " - set(sys.stdlib_module_names)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert done.stdout.strip() == "['treematch']"

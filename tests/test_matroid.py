@@ -13,11 +13,14 @@ from treematch import (
     GroundSetMismatchError,
     PartitionMatroid,
     WeightedGraph,
-    free_matroid,
     min_weight_common_base,
-    truncate,
 )
 from treematch.generate import complete, cycle
+
+
+def free(n):
+    """Every subset of range(n) independent: one part, capacity n."""
+    return PartitionMatroid([range(n)], [n])
 
 
 def brute_min_common(m1, m2, weights, k):
@@ -39,16 +42,6 @@ class TestGraphicMatroid:
         assert m.is_independent(frozenset([0, 1, 2]))
         assert not m.is_independent(frozenset([0, 1, 2, 3]))
 
-    def test_rank_is_vertices_minus_components(self):
-        rng = random.Random(3)
-        for _ in range(40):
-            n = rng.randint(2, 8)
-            g = graph_from_mask(n, rng.getrandbits(len(pairs_of(n))))
-            m = GraphicMatroid(g)
-            from treematch import connected_components
-
-            assert m.rank() == n - len(connected_components(g))
-
     def test_empty_always_independent(self):
         assert GraphicMatroid(cycle(3)).is_independent(frozenset())
 
@@ -65,28 +58,6 @@ class TestPartitionMatroid:
             PartitionMatroid([[0, 1], [3]], [1, 1])
         with pytest.raises(ValueError):
             PartitionMatroid([[0, 1], [1, 2]], [1, 1])
-
-    def test_free_matroid(self):
-        m = free_matroid(4)
-        assert m.is_independent(frozenset(range(4)))
-        assert m.rank() == 4
-
-
-class TestTruncation:
-    def test_free_truncated_to_two(self):
-        t = truncate(free_matroid(5), 2)
-        assert t.is_independent(frozenset([0, 1]))
-        assert not t.is_independent(frozenset([0, 1, 2]))
-
-    def test_truncate_to_zero(self):
-        t = truncate(free_matroid(3), 0)
-        assert t.is_independent(frozenset())
-        assert not t.is_independent(frozenset([0]))
-
-    def test_truncated_graphic_c4(self):
-        t = truncate(GraphicMatroid(cycle(4)), 3)
-        for sub in combinations(range(4), 3):
-            assert t.is_independent(frozenset(sub))
 
 
 class TestMatroidAxioms:
@@ -129,8 +100,7 @@ class TestMatroidAxioms:
 
 class TestMinWeightCommonBase:
     def test_free_free_picks_lightest(self):
-        m = free_matroid(4)
-        got = min_weight_common_base(m, free_matroid(4), [5, 1, 3, 2], 2)
+        got = min_weight_common_base(free(4), free(4), [5, 1, 3, 2], 2)
         assert got == frozenset([1, 3])
 
     def test_c4_with_per_side_stars(self):
@@ -143,20 +113,20 @@ class TestMinWeightCommonBase:
 
     def test_no_common_base(self):
         # one matroid forbids any pair, so size 2 is unreachable
-        m1 = truncate(free_matroid(3), 1)
-        assert min_weight_common_base(m1, free_matroid(3), [1, 1, 1], 2) is None
+        m1 = PartitionMatroid([range(3)], [1])
+        assert min_weight_common_base(m1, free(3), [1, 1, 1], 2) is None
 
     def test_k_larger_than_ground(self):
-        assert min_weight_common_base(free_matroid(2), free_matroid(2), [1, 1], 3) is None
+        assert min_weight_common_base(free(2), free(2), [1, 1], 3) is None
 
     def test_k_zero_gives_empty(self):
-        assert min_weight_common_base(free_matroid(2), free_matroid(2), [1, 1], 0) == frozenset()
+        assert min_weight_common_base(free(2), free(2), [1, 1], 0) == frozenset()
 
     def test_ground_mismatch_rejected(self):
         with pytest.raises(GroundSetMismatchError):
-            min_weight_common_base(free_matroid(2), free_matroid(3), [1, 1], 1)
+            min_weight_common_base(free(2), free(3), [1, 1], 1)
         with pytest.raises(GroundSetMismatchError):
-            min_weight_common_base(free_matroid(2), free_matroid(2), [1, 1, 1], 1)
+            min_weight_common_base(free(2), free(2), [1, 1, 1], 1)
 
     def test_mst_via_graphic_and_free(self):
         # intersection with a free matroid degenerates to minimum spanning tree
@@ -166,7 +136,7 @@ class TestMinWeightCommonBase:
             g = complete(n)
             weights = [rng.randint(-4, 9) for _ in range(g.edge_count)]
             got = min_weight_common_base(
-                GraphicMatroid(g), free_matroid(g.edge_count), weights, n - 1
+                GraphicMatroid(g), free(g.edge_count), weights, n - 1
             )
             assert got is not None
             # Kruskal reference

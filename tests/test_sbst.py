@@ -12,9 +12,11 @@ from treematch import (
     WeightedGraph,
     alternating_characterization,
     as_bipartitioned_tree,
+    format_graph,
     is_strongly_balanced,
     min_sbst_bipartite,
 )
+from treematch.cli import main
 from treematch.oracle import brute_force_min_sbst
 
 from helpers import random_connected_bipartite, random_tree_edges
@@ -234,3 +236,90 @@ class TestMinSbstBipartite:
         want = brute_force_min_sbst(g)
         assert want is not None
         assert res.total_weight == want[1]
+
+
+def two_valued_bipartite(seed, side, target_edges):
+    """Seeded connected balanced bipartite graph with every weight 1 or 2,
+    so most instances have several optimal strongly balanced trees."""
+    g = random_connected_bipartite(random.Random(seed), side, target_edges, wmax=1)
+    return WeightedGraph(g.vertex_count, [(u, v, w + 1) for u, v, w in g.edges])
+
+
+# two_valued_bipartite(*key) -> its minimum strongly balanced tree as
+# edge indices, fixed by the intersection's smallest-source tie-break.
+# By enumeration, the graphs of seeds 1 to 5 have 7, 2, 54, 12 and 30
+# optimal trees.
+TIE_BREAK_TREES = {
+    (1, 3, 7): [0, 1, 2, 4, 5],
+    (2, 4, 10): [0, 1, 3, 5, 6, 7, 8],
+    (3, 5, 14): [0, 1, 3, 4, 6, 8, 11, 12, 13],
+    (4, 6, 18): [0, 1, 4, 5, 6, 7, 8, 10, 11, 12, 15],
+    (5, 6, 20): [0, 1, 3, 7, 10, 11, 13, 14, 16, 17, 18],
+    (6, 10, 30): [0, 2, 5, 7, 8, 10, 12, 13, 14, 15, 16, 18, 19, 22, 23, 24, 26, 27, 29],
+}
+
+TIE_BREAK_REPORT = """\
+{
+  "status": "feasible",
+  "value": 6,
+  "edges": [
+    [
+      0,
+      4
+    ],
+    [
+      0,
+      5
+    ],
+    [
+      1,
+      3
+    ],
+    [
+      1,
+      5
+    ],
+    [
+      2,
+      3
+    ]
+  ],
+  "certificate": {
+    "plus_side": [
+      0,
+      1,
+      2
+    ],
+    "unique_leaf": 2,
+    "matching": [
+      [
+        0,
+        4
+      ],
+      [
+        1,
+        5
+      ],
+      [
+        2,
+        3
+      ]
+    ]
+  }
+}
+"""
+
+
+class TestTieBreaks:
+    """Which optimal tree comes out is part of the observable output."""
+
+    @pytest.mark.parametrize("instance", sorted(TIE_BREAK_TREES))
+    def test_exact_tree(self, instance):
+        res = min_sbst_bipartite(two_valued_bipartite(*instance))
+        assert sorted(res.tree) == TIE_BREAK_TREES[instance]
+
+    def test_exact_cli_report(self, tmp_path, capsys):
+        path = tmp_path / "ties.graph"
+        path.write_text(format_graph(two_valued_bipartite(1, 3, 7)))
+        assert main(["minsbst-bipartite", str(path)]) == 0
+        assert capsys.readouterr().out == TIE_BREAK_REPORT
