@@ -108,7 +108,8 @@ def _cmd_pmst_check(args: argparse.Namespace) -> int:
     except Infeasible as exc:
         return _emit("infeasible", reason=exc.reason)
     m = tree_perfect_matching(as_bipartitioned_tree(g, tree))
-    assert m is not None
+    if m is None:
+        raise AssertionError("pmst_feasible returned a tree without a perfect matching")
     return _emit(
         "feasible",
         value=g.total_weight(tree),

@@ -7,6 +7,10 @@ their base, and flip the matching along any augmenting path found.  It is
 exact on general (non-bipartite) graphs and runs in polynomial time.  All
 scans go through vertices and incident edges in ascending index order, so
 the result is a deterministic function of the input edge order.
+
+Each search resets and sweeps only the vertices of its own tree, so a
+search that stays inside a small component costs time proportional to
+that component, not to n.
 """
 
 from __future__ import annotations
@@ -109,38 +113,47 @@ def _mates_by_blossom(n: int, adj: list[list[int]]) -> list[int]:
                     mate[u] = v
                     break
 
+    # Per-search state.  Only the vertices in ``touched`` (the current
+    # search tree) can differ from the reset values, so only they are reset.
     p = [-1] * n  # BFS parent of odd-level vertices
     base = list(range(n))  # blossom base each vertex is currently shrunk to
     used = [False] * n  # even-level (outer) vertices
     blossom = [False] * n
+    seen = [0] * n  # lca marks: seen[v] == stamp means marked in this call
+    stamp = 0
+    touched: list[int] = []
 
     def lca(a: int, b: int) -> int:
-        seen = [False] * n
+        nonlocal stamp
+        stamp += 1
         while True:
             a = base[a]
-            seen[a] = True
+            seen[a] = stamp
             if mate[a] == -1:
                 break
             a = p[mate[a]]
         while True:
             b = base[b]
-            if seen[b]:
+            if seen[b] == stamp:
                 return b
             b = p[mate[b]]
 
-    def mark_path(v: int, b: int, child: int) -> None:
+    def mark_path(v: int, b: int, child: int, marked: list[int]) -> None:
         while base[v] != b:
-            blossom[base[v]] = True
-            blossom[base[mate[v]]] = True
+            for x in (base[v], base[mate[v]]):
+                blossom[x] = True
+                marked.append(x)
             p[v] = child
             child = mate[v]
             v = p[mate[v]]
 
     def augment_from(root: int) -> None:
-        for i in range(n):
+        for i in touched:
             p[i] = -1
             base[i] = i
             used[i] = False
+        touched.clear()
+        touched.append(root)
         used[root] = True
         queue = deque([root])
         while queue:
@@ -149,20 +162,27 @@ def _mates_by_blossom(n: int, adj: list[list[int]]) -> list[int]:
                 if base[v] == base[to] or mate[v] == to:
                     continue
                 if to == root or (mate[to] != -1 and p[mate[to]] != -1):
-                    # Odd cycle: shrink the blossom onto its base.
+                    # Odd cycle: shrink the blossom onto its base.  Every
+                    # vertex it covers is in the search tree, and newly
+                    # outer vertices join the queue in ascending id.
                     curbase = lca(v, to)
-                    for i in range(n):
-                        blossom[i] = False
-                    mark_path(v, curbase, to)
-                    mark_path(to, curbase, v)
-                    for i in range(n):
+                    marked: list[int] = []
+                    mark_path(v, curbase, to, marked)
+                    mark_path(to, curbase, v, marked)
+                    grown = []
+                    for i in touched:
                         if blossom[base[i]]:
                             base[i] = curbase
                             if not used[i]:
                                 used[i] = True
-                                queue.append(i)
+                                grown.append(i)
+                    for x in marked:
+                        blossom[x] = False
+                    grown.sort()
+                    queue.extend(grown)
                 elif p[to] == -1:
                     p[to] = v
+                    touched.append(to)
                     if mate[to] == -1:
                         # Augmenting path: flip matched edges back to the root.
                         u = to
@@ -173,6 +193,7 @@ def _mates_by_blossom(n: int, adj: list[list[int]]) -> list[int]:
                             mate[pv] = u
                             u = ppv
                         return
+                    touched.append(mate[to])
                     used[mate[to]] = True
                     queue.append(mate[to])
 

@@ -83,6 +83,66 @@ class TestPmstCheck:
         assert "error:" in err
 
 
+# `aug --host bipartite` on the graph of test_exact_bipartite_report,
+# captured before the greedy stage loops were rewritten.
+AUG_BIPARTITE_REPORT = """\
+{
+  "status": "feasible",
+  "value": 5,
+  "edges": [
+    [
+      2,
+      7
+    ],
+    [
+      3,
+      8
+    ],
+    [
+      4,
+      10
+    ],
+    [
+      5,
+      11
+    ],
+    [
+      0,
+      11
+    ]
+  ],
+  "certificate": {
+    "matching": [
+      [
+        0,
+        6
+      ],
+      [
+        1,
+        9
+      ],
+      [
+        2,
+        7
+      ],
+      [
+        3,
+        8
+      ],
+      [
+        4,
+        10
+      ],
+      [
+        5,
+        11
+      ]
+    ]
+  }
+}
+"""
+
+
 class TestAug:
     def test_empty_complete_host(self, tmp_path, capsys):
         path = write_graph(tmp_path, "e6.graph", WeightedGraph(6, []))
@@ -100,6 +160,13 @@ class TestAug:
         doc = report(out)
         assert doc["value"] == 3
         assert doc["edges"] == [[0, 2], [1, 3], [0, 3]]
+
+    def test_exact_bipartite_report(self, tmp_path, capsys):
+        g = WeightedGraph(12, [(0, 6, 1), (0, 7, 1), (0, 8, 1), (1, 6, 1), (1, 9, 1), (1, 10, 1)])
+        path = write_graph(tmp_path, "stars.graph", g)
+        code, out, _ = run(capsys, ["aug", path, "--host", "bipartite"])
+        assert code == 0
+        assert out == AUG_BIPARTITE_REPORT
 
     def test_plus_size_flag(self, tmp_path, capsys):
         g = WeightedGraph(4, [(0, 1, 1)])  # both ends on the same side

@@ -87,6 +87,43 @@ class TestMaximumMatching:
             assert maximum_matching(g).size == max_matching_size_exhaustive(g)
 
 
+def shuffled_random_graph(seed, n, m):
+    """m distinct random edges on n vertices, in a seeded random order."""
+    rng = random.Random(seed)
+    pairs = set()
+    while len(pairs) < m:
+        u, v = rng.sample(range(n), 2)
+        pairs.add((min(u, v), max(u, v)))
+    edges = sorted(pairs)
+    rng.shuffle(edges)
+    return WeightedGraph(n, [(u, v, 1) for u, v in edges])
+
+
+# shuffled_random_graph(*key) -> maximum_matching(g).edges, sorted.  The
+# searches of these graphs shrink 1, 2, 1, 4, 2 and 11 blossoms.
+PINNED_MATCHINGS = {
+    (1, 12, 18): [0, 2, 4, 8, 12, 15],
+    (3, 20, 30): [0, 2, 3, 6, 10, 11, 12, 20, 21, 24],
+    (4, 30, 45): [4, 9, 13, 16, 17, 18, 22, 23, 25, 26, 27, 28, 31, 37, 41],
+    (5, 40, 60): [1, 2, 6, 8, 11, 17, 23, 24, 26, 27, 29, 32, 33, 34, 36, 37, 43, 56],
+    (6, 51, 80): [
+        0, 4, 7, 8, 9, 10, 20, 22, 23, 26, 30, 32, 33, 34, 40, 49, 50, 54, 63, 67, 68, 69, 75,
+    ],
+    (7, 60, 90): [
+        1, 4, 5, 7, 8, 11, 13, 14, 17, 19, 22, 25, 31, 42, 45, 46, 47, 55, 64, 73, 75, 76, 78,
+        80, 84, 86, 89,
+    ],
+}
+
+
+class TestPinnedMatchings:
+    """Which maximum matching comes out is part of the observable output."""
+
+    @pytest.mark.parametrize("key", sorted(PINNED_MATCHINGS))
+    def test_exact_edges(self, key):
+        assert sorted(maximum_matching(shuffled_random_graph(*key)).edges) == PINNED_MATCHINGS[key]
+
+
 class TestMatchingType:
     def test_from_edges_rejects_shared_vertex(self):
         g = path(3)

@@ -253,6 +253,128 @@ class TestGreedyAugmentBipartite:
             greedy_augment(WeightedGraph(4, [(0, 1, 1)]), host)
 
 
+def augment_instance(seed, n, avg_degree, kind):
+    """Seeded light graph and host for the pinned greedy outputs.
+
+    ``kind`` is "complete", "bipartite" (sides range(n/2), range(n/2, n))
+    or "permuted" (a random balanced split of the vertices)."""
+    rng = random.Random(seed)
+    if kind == "complete":
+        host = HostKind.complete(n)
+        pairs = pairs_of(n)
+        p = avg_degree / (n - 1)
+    else:
+        order = list(range(n))
+        if kind == "permuted":
+            rng.shuffle(order)
+        plus, minus = sorted(order[: n // 2]), sorted(order[n // 2 :])
+        host = HostKind.complete_bipartite(plus, minus)
+        pairs = sorted((min(u, v), max(u, v)) for u in plus for v in minus)
+        p = avg_degree / (n // 2)
+    return WeightedGraph(n, [(u, v, 1) for u, v in pairs if rng.random() < p]), host
+
+
+# augment_instance(*key) -> greedy_augment's added_edges, captured before
+# the stage loops were rewritten; the order is part of the output.
+PINNED_ADDED_EDGES = {
+    (1, 10, 0, "complete"): [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (0, 2), (0, 4), (0, 6), (0, 8)],
+    (2, 20, 1.0, "complete"): [(0, 4), (2, 12), (5, 18), (17, 19), (0, 5), (0, 17)],
+    (3, 40, 1.5, "complete"): [
+        (11, 26), (1, 29), (10, 38), (15, 18), (19, 24), (30, 32), (34, 37),
+        (0, 9), (0, 15), (0, 19), (0, 30), (0, 34),
+    ],
+    (4, 60, 2.0, "complete"): [
+        (0, 28), (20, 31), (25, 34), (27, 40), (36, 44), (47, 49), (50, 51),
+        (0, 11), (0, 15), (0, 26), (0, 50),
+    ],
+    (5, 12, 0, "bipartite"): [
+        (0, 6), (1, 7), (2, 8), (3, 9), (4, 10), (5, 11), (0, 7), (0, 8), (0, 9), (0, 10), (0, 11),
+    ],
+    (6, 30, 1.0, "bipartite"): [
+        (1, 18), (13, 23), (14, 17), (3, 21), (5, 24), (7, 25), (10, 28),
+        (0, 15), (0, 29), (0, 21), (0, 24), (0, 25), (0, 28), (0, 26),
+    ],
+    (7, 40, 1.5, "permuted"): [
+        (0, 25), (4, 28), (8, 33), (6, 18), (7, 19), (13, 21), (16, 24), (17, 35),
+        (0, 6), (0, 7), (0, 13), (0, 16), (0, 17), (0, 26),
+    ],
+    (8, 60, 2.0, "permuted"): [
+        (5, 9), (12, 58), (4, 15), (47, 53), (20, 24), (27, 32), (33, 57), (38, 59),
+        (0, 1), (0, 15), (0, 5), (0, 17), (0, 24), (0, 25), (0, 32), (0, 57), (0, 36), (0, 59), (0, 44),
+    ],
+    (9, 16, 0, "permuted"): [
+        (0, 1), (2, 3), (4, 6), (5, 7), (8, 9), (10, 11), (12, 13), (14, 15),
+        (0, 3), (0, 6), (0, 7), (0, 8), (0, 10), (0, 12), (0, 15),
+    ],
+}
+
+
+class TestGreedyAugmentPinned:
+    """Which optimal augmentation comes out is part of the observable output."""
+
+    @pytest.mark.parametrize("key", sorted(PINNED_ADDED_EDGES))
+    def test_exact_added_edges(self, key):
+        g, host = augment_instance(*key)
+        res = greedy_augment(g, host)
+        assert list(res.added_edges) == PINNED_ADDED_EDGES[key]
+        assert res.added_count == augmentation_optimum(deficiency_profile(g))
+
+    def test_stars_all_four_stages(self):
+        # deficiencies (4, 2, 0): stage 1 joins the stars, stage 3 pairs
+        # inside the merged star, stage 4 attaches the matched edge
+        g = WeightedGraph(
+            12,
+            [(0, 1, 1), (0, 2, 1), (0, 3, 1), (0, 4, 1), (0, 5, 1),
+             (6, 7, 1), (6, 8, 1), (6, 9, 1), (10, 11, 1)],
+        )
+        res = greedy_augment(g, HostKind.complete(12))
+        assert res.added_edges == ((2, 8), (3, 4), (5, 9), (0, 10))
+        assert res.graph.edge_pairs(res.matching.edges) == [
+            (0, 1), (2, 8), (3, 4), (5, 9), (6, 7), (10, 11)
+        ]
+
+    def test_bipartite_stage_three(self):
+        # one deficient component with two exposed vertices per side
+        g = WeightedGraph(
+            12,
+            [(0, 6, 1), (0, 7, 1), (0, 8, 1), (1, 9, 1), (2, 9, 1), (3, 9, 1),
+             (0, 9, 1), (4, 10, 1), (5, 11, 1)],
+        )
+        res = greedy_augment(g, HostKind.complete_bipartite(range(6), range(6, 12)))
+        assert res.added_edges == ((2, 7), (3, 8), (0, 10), (0, 11))
+        assert res.graph.edge_pairs(res.matching.edges) == [
+            (0, 6), (1, 9), (2, 7), (3, 8), (4, 10), (5, 11)
+        ]
+
+    def test_bipartite_deficient_component_without_partner_side(self):
+        # the deficiency-3 component has only minus-side exposure, so the
+        # first stage-1 join starts from the isolated plus vertex 2
+        g = WeightedGraph(12, [(0, 6, 1), (0, 7, 1), (0, 8, 1), (1, 6, 1), (1, 9, 1), (1, 10, 1)])
+        res = greedy_augment(g, HostKind.complete_bipartite(range(6), range(6, 12)))
+        assert res.added_edges == ((2, 7), (3, 8), (4, 10), (5, 11), (0, 11))
+        assert res.graph.edge_pairs(res.matching.edges) == [
+            (0, 6), (1, 9), (2, 7), (3, 8), (4, 10), (5, 11)
+        ]
+
+
+class TestGreedyAugmentScale:
+    """20000 isolated vertices: about n/2 stage-2 joins and n/2 stage-4
+    connectors, far beyond what a per-step scan over components allows."""
+
+    def check(self, host):
+        g = WeightedGraph(host.n)
+        res = greedy_augment(g, host)
+        assert res.added_count == augmentation_optimum(deficiency_profile(g)) == host.n - 1
+        assert is_connected(res.graph)
+        assert res.matching.is_perfect
+
+    def test_edgeless_complete_host(self):
+        self.check(HostKind.complete(20000))
+
+    def test_edgeless_bipartite_host(self):
+        self.check(HostKind.complete_bipartite(range(10000), range(10000, 20000)))
+
+
 class TestMinPmstTwoValued:
     def test_all_light_k4(self):
         res = min_pmst_two_valued(HostKind.complete(4), [(u, v) for u, v in pairs_of(4)], 1, 2)
