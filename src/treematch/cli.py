@@ -42,7 +42,7 @@ from .reductions import (
     reduce_sat_to_sbst,
     replace_leaves,
 )
-from .sbst import is_strongly_balanced, min_sbst_bipartite
+from .sbst import SbstCertificate, is_strongly_balanced, min_sbst_bipartite
 
 # ---------------------------------------------------------------------------
 # File plumbing ("-" means stdin/stdout)
@@ -67,6 +67,10 @@ def _load(path: str) -> WeightedGraph:
     return parse_graph(_read_text(path))
 
 
+def _json(doc: dict) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def _emit(
     status: str,
     value: int | None = None,
@@ -77,8 +81,7 @@ def _emit(
     doc: dict = {"status": status, "value": value, "edges": edges, "certificate": certificate}
     if reason is not None:
         doc["reason"] = reason
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(_json(doc))
     return 0 if status == "feasible" else 2
 
 
@@ -86,8 +89,12 @@ def _pairs(g: WeightedGraph, edge_set) -> list[list[int]]:
     return [list(p) for p in g.edge_pairs(edge_set)]
 
 
-def _matching_pairs(m) -> list[list[int]]:
-    return [list(p) for p in m.graph.edge_pairs(m.edges)]
+def _sb_certificate(cert: SbstCertificate) -> dict:
+    return {
+        "plus_side": sorted(cert.plus_side),
+        "unique_leaf": cert.unique_leaf,
+        "matching": _pairs(cert.matching.graph, cert.matching.edges),
+    }
 
 
 def _host_from_args(g: WeightedGraph, args: argparse.Namespace) -> HostKind:
@@ -114,7 +121,7 @@ def _cmd_pmst_check(args: argparse.Namespace) -> int:
         "feasible",
         value=g.total_weight(tree),
         edges=_pairs(g, tree),
-        certificate={"matching": _matching_pairs(m)},
+        certificate={"matching": _pairs(m.graph, m.edges)},
     )
 
 
@@ -129,7 +136,7 @@ def _cmd_aug(args: argparse.Namespace) -> int:
         "feasible",
         value=res.added_count,
         edges=[list(p) for p in res.added_edges],
-        certificate={"matching": _matching_pairs(res.matching)},
+        certificate={"matching": _pairs(res.matching.graph, res.matching.edges)},
     )
 
 
@@ -162,11 +169,7 @@ def _cmd_sbst_check(args: argparse.Namespace) -> int:
         "feasible",
         value=bt.total_weight,
         edges=_pairs(g, bt.edges),
-        certificate={
-            "plus_side": sorted(cert.plus_side),
-            "unique_leaf": cert.unique_leaf,
-            "matching": _matching_pairs(cert.matching),
-        },
+        certificate=_sb_certificate(cert),
     )
 
 
@@ -177,16 +180,11 @@ def _cmd_minsbst_bipartite(args: argparse.Namespace) -> int:
     except (Infeasible, DisconnectedError, UnbalancedError) as exc:
         reason = exc.reason if isinstance(exc, Infeasible) else str(exc)
         return _emit("infeasible", reason=reason)
-    cert = res.certificate
     return _emit(
         "feasible",
         value=res.total_weight,
         edges=_pairs(g, res.tree),
-        certificate={
-            "plus_side": sorted(cert.plus_side),
-            "unique_leaf": cert.unique_leaf,
-            "matching": _matching_pairs(cert.matching),
-        },
+        certificate=_sb_certificate(res.certificate),
     )
 
 
@@ -205,7 +203,7 @@ def _meta_path(args: argparse.Namespace) -> str | None:
 def _write_meta(args: argparse.Namespace, doc: dict) -> None:
     path = _meta_path(args)
     if path is not None:
-        _write_text(path, json.dumps(doc, indent=2) + "\n")
+        _write_text(path, _json(doc))
 
 
 def _cmd_reduce_hc(args: argparse.Namespace) -> int:
@@ -368,6 +366,11 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
 # Argument parsing
 
 
+def _add_out_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", required=True)
+    p.add_argument("--meta", help="metadata JSON path (default <out>.meta.json)")
+
+
 def _add_host_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--host", choices=("complete", "bipartite"), default="complete")
     p.add_argument(
@@ -423,20 +426,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--rotation", help="rotation file (default: edges in index order)")
     p.add_argument("--complete", action="store_true", help="fill absent pairs at weight 2")
-    p.add_argument("--out", required=True)
-    p.add_argument("--meta", help="metadata JSON path (default <out>.meta.json)")
+    _add_out_flags(p)
     p.set_defaults(func=_cmd_reduce_hc)
 
     p = rsub.add_parser("sat-to-sbst", help="3-CNF layout to strong-balance instance")
     p.add_argument("cnf")
-    p.add_argument("--out", required=True)
-    p.add_argument("--meta", help="metadata JSON path (default <out>.meta.json)")
+    _add_out_flags(p)
     p.set_defaults(func=_cmd_reduce_sat)
 
     p = rsub.add_parser("replace-leaves", help="hang a 4-cycle off every leaf")
     p.add_argument("graph")
-    p.add_argument("--out", required=True)
-    p.add_argument("--meta", help="metadata JSON path (default <out>.meta.json)")
+    _add_out_flags(p)
     p.set_defaults(func=_cmd_replace_leaves)
 
     gen_p = sub.add_parser("gen", help="instance generators (seeded, deterministic)")
@@ -512,8 +512,13 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# Built once at import: building all 22 subparsers takes a few
+# milliseconds, as long as many whole commands on small inputs.
+_PARSER = build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (TreematchError, ValueError, OSError, json.JSONDecodeError) as exc:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 
 from .graph import VertexCycle, WeightedGraph
-from .reductions import CnfFormula, CnfLayout, Occurrence, RotationSystem
+from .reductions import CnfFormula, CnfLayout, RotationSystem, _clause_order_layout
 
 
 def complete(n: int, weight: int = 1) -> WeightedGraph:
@@ -161,14 +161,4 @@ def random_cnf_layout(num_vars: int, num_clauses: int, seed: int) -> CnfLayout:
         clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
     formula = CnfFormula(num_vars, tuple(clauses))
     sides = tuple(rng.choice(("in", "out")) for _ in range(num_clauses))
-    in_occ: list[list[Occurrence]] = [[] for _ in range(num_vars)]
-    out_occ: list[list[Occurrence]] = [[] for _ in range(num_vars)]
-    for j, cl in enumerate(clauses):
-        for l in range(3):
-            (in_occ if sides[j] == "in" else out_occ)[abs(cl[l]) - 1].append((j, l))
-    return CnfLayout(
-        formula,
-        sides,
-        tuple(tuple(lst) for lst in in_occ),
-        tuple(tuple(lst) for lst in out_occ),
-    )
+    return _clause_order_layout(formula, sides)

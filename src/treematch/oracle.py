@@ -25,7 +25,7 @@ from .errors import (
     TooLargeError,
     TruncatedError,
 )
-from .graph import EdgeSet, WeightedGraph, connected_components
+from .graph import EdgeSet, WeightedGraph, is_connected
 from .pmst import HostKind
 
 DEFAULT_TREE_CAP = 10_000_000
@@ -51,7 +51,7 @@ def enumerate_spanning_trees(
     DisconnectedError when no spanning tree exists.
     """
     n, m = g.vertex_count, g.edge_count
-    if len(connected_components(g)) != 1:
+    if not is_connected(g):
         raise DisconnectedError("graph has no spanning tree")
     if n == 1:
         if visit is not None:
@@ -166,16 +166,11 @@ def spanning_tree_count_determinant(g: WeightedGraph) -> int:
 # production modules)
 
 
-def _tree_has_perfect_matching(n: int, pairs: Sequence[tuple[int, int]]) -> bool:
+def _tree_has_perfect_matching(adj: list[list[int]]) -> bool:
+    n = len(adj)
     if n % 2:
         return False
-    deg = [0] * n
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in pairs:
-        deg[u] += 1
-        deg[v] += 1
-        adj[u].append(v)
-        adj[v].append(u)
+    deg = [len(nbrs) for nbrs in adj]
     alive = [True] * n
     stack = [v for v in range(n) if deg[v] == 1]
     removed = 0
@@ -196,16 +191,11 @@ def _tree_has_perfect_matching(n: int, pairs: Sequence[tuple[int, int]]) -> bool
     return removed == n
 
 
-def _tree_is_strongly_balanced(n: int, pairs: Sequence[tuple[int, int]]) -> bool:
+def _tree_is_strongly_balanced(adj: list[list[int]]) -> bool:
     """One side of the tree's bipartition has exactly one leaf and all its
     other vertices have degree two."""
-    deg = [0] * n
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in pairs:
-        deg[u] += 1
-        deg[v] += 1
-        adj[u].append(v)
-        adj[v].append(u)
+    n = len(adj)
+    deg = [len(nbrs) for nbrs in adj]
     side = [-1] * n
     side[0] = 0
     queue = deque([0])
@@ -231,6 +221,31 @@ def _tree_is_strongly_balanced(n: int, pairs: Sequence[tuple[int, int]]) -> bool
     return False
 
 
+def _lightest_tree(
+    g: WeightedGraph, accept: Callable[[list[list[int]]], bool], cap: int
+) -> tuple[EdgeSet, int] | None:
+    """Lightest spanning tree whose adjacency lists pass ``accept``, or
+    None; ties go to the first tree enumerated."""
+    n = g.vertex_count
+    best: tuple[EdgeSet, int] | None = None
+
+    def look(tree: tuple[int, ...]) -> None:
+        nonlocal best
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for i in tree:
+            u, v, _ = g.edges[i]
+            adj[u].append(v)
+            adj[v].append(u)
+        if not accept(adj):
+            return
+        w = sum(g.edges[i][2] for i in tree)
+        if best is None or w < best[1]:
+            best = (frozenset(tree), w)
+
+    enumerate_spanning_trees(g, look, cap)
+    return best
+
+
 # ---------------------------------------------------------------------------
 # PMST oracle
 
@@ -239,23 +254,9 @@ def brute_force_min_pmst(
     g: WeightedGraph, cap: int = DEFAULT_TREE_CAP
 ) -> tuple[EdgeSet, int] | None:
     """Minimum-weight spanning tree containing a perfect matching, by
-    checking every spanning tree.  None when no tree has one."""
-    if len(connected_components(g)) != 1:
-        raise DisconnectedError("graph has no spanning tree")
-    n = g.vertex_count
-    best: tuple[EdgeSet, int] | None = None
-
-    def look(tree: tuple[int, ...]) -> None:
-        nonlocal best
-        pairs = [(g.edges[i][0], g.edges[i][1]) for i in tree]
-        if not _tree_has_perfect_matching(n, pairs):
-            return
-        w = sum(g.edges[i][2] for i in tree)
-        if best is None or w < best[1]:
-            best = (frozenset(tree), w)
-
-    enumerate_spanning_trees(g, look, cap)
-    return best
+    checking every spanning tree.  None when no tree has one;
+    DisconnectedError when g has no spanning tree."""
+    return _lightest_tree(g, _tree_has_perfect_matching, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +580,7 @@ class _SbSearch:
 
     def run(self, find_min: bool) -> tuple[EdgeSet, int] | None:
         self.find_min = find_min
-        if len(connected_components(self.g)) != 1:
+        if not is_connected(self.g):
             return None
         mark = len(self.trail)
         self.queue.clear()
@@ -610,24 +611,11 @@ def brute_force_min_sbst(
     through the pruned search instead, which reaches sizes where plain
     enumeration would be hopeless.
     """
-    if len(connected_components(g)) != 1:
+    if not is_connected(g):
         return None
     if max((g.degree(v) for v in range(g.vertex_count)), default=0) <= 3:
         return sb_tree_search(g, find_min=True)
-    n = g.vertex_count
-    best: tuple[EdgeSet, int] | None = None
-
-    def look(tree: tuple[int, ...]) -> None:
-        nonlocal best
-        pairs = [(g.edges[i][0], g.edges[i][1]) for i in tree]
-        if not _tree_is_strongly_balanced(n, pairs):
-            return
-        w = sum(g.edges[i][2] for i in tree)
-        if best is None or w < best[1]:
-            best = (frozenset(tree), w)
-
-    enumerate_spanning_trees(g, look, cap)
-    return best
+    return _lightest_tree(g, _tree_is_strongly_balanced, cap)
 
 
 def brute_force_sbst_exists(
@@ -684,23 +672,7 @@ def _graph_stats(n: int, mask: int) -> tuple[int, int]:
                     nxt |= nbr[lb.bit_length() - 1]
                     f ^= lb
                 frontier = nxt & ~seen
-    full = (1 << n) - 1
-    dp = bytearray(1 << n)
-    for s in range(1, 1 << n):
-        lb = s & -s
-        v = lb.bit_length() - 1
-        rest = s ^ lb
-        best = dp[rest]
-        cand_bits = nbr[v] & rest
-        while cand_bits:
-            ub = cand_bits & -cand_bits
-            u = ub.bit_length() - 1
-            val = dp[rest ^ ub] + 1
-            if val > best:
-                best = val
-            cand_bits ^= ub
-        dp[s] = best
-    result = (n - 2 * dp[full], comps)
+    result = (n - 2 * _matching_number(n, nbr), comps)
     _STATS[key] = result
     return result
 
@@ -750,15 +722,9 @@ def brute_force_opt_aug(h: WeightedGraph, host: HostKind) -> int:
 # Matching oracle
 
 
-def max_matching_size_exhaustive(g: WeightedGraph) -> int:
-    """Maximum matching size by subset DP; limited to 20 vertices."""
-    n = g.vertex_count
-    if n > 20:
-        raise TooLargeError(f"{n} vertices is past the exhaustive limit of 20")
-    nbr = [0] * n
-    for u, v, _ in g.edges:
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
+def _matching_number(n: int, nbr: Sequence[int]) -> int:
+    """Maximum matching size of the graph on n vertices whose neighbor
+    sets are the bitmasks ``nbr``, by DP over vertex subsets."""
     dp = bytearray(1 << n)
     for s in range(1, 1 << n):
         lb = s & -s
@@ -774,6 +740,18 @@ def max_matching_size_exhaustive(g: WeightedGraph) -> int:
             cand ^= ub
         dp[s] = best
     return dp[(1 << n) - 1]
+
+
+def max_matching_size_exhaustive(g: WeightedGraph) -> int:
+    """Maximum matching size by subset DP; limited to 20 vertices."""
+    n = g.vertex_count
+    if n > 20:
+        raise TooLargeError(f"{n} vertices is past the exhaustive limit of 20")
+    nbr = [0] * n
+    for u, v, _ in g.edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    return _matching_number(n, nbr)
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,11 @@ from .errors import (
     DisconnectedError,
     HostMismatchError,
     Infeasible,
-    OddDeficiencyError,
     OddVertexCountError,
     UnbalancedError,
     WeightOrderError,
 )
-from .graph import EdgeSet, WeightedGraph, connected_components
+from .graph import EdgeSet, WeightedGraph, connected_components, is_connected
 from .matching import (
     DeficiencyProfile,
     Matching,
@@ -176,7 +175,7 @@ def pmst_feasible(g: WeightedGraph) -> EdgeSet:
     Raises Infeasible("disconnected") or Infeasible("no perfect matching");
     those two conditions are the exact obstructions.
     """
-    if len(connected_components(g)) != 1:
+    if not is_connected(g):
         raise Infeasible("disconnected")
     m = maximum_matching(g)
     if not m.is_perfect:
@@ -194,15 +193,11 @@ def augmentation_optimum(profile: DeficiencyProfile) -> int:
     the exposure); otherwise every pairing of exposed vertices is needed
     and the optimum is deficiency/2 + c_zero.
     """
-    d = profile.deficiency
-    if d % 2:
-        # Odd total deficiency cannot be repaired by whole edges.
-        raise OddDeficiencyError(f"total deficiency {d} is odd")
-    if d == 0:
+    # Raises OddDeficiencyError: whole edges cannot repair an odd deficiency.
+    half = profile.half_deficiency
+    if half == 0 or half < profile.deficient_count:
         return profile.component_count - 1
-    if d // 2 < profile.deficient_count:
-        return profile.component_count - 1
-    return d // 2 + profile.matched_count
+    return half + profile.matched_count
 
 
 class _Bucket:

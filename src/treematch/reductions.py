@@ -48,7 +48,7 @@ from .graph import (
     WeightedGraph,
     as_bipartitioned_tree,
     bipartition_of,
-    connected_components,
+    is_connected,
     is_hamiltonian_cycle,
 )
 from .matching import Matching
@@ -171,7 +171,8 @@ class HcReduction:
         return 4 * u
 
     def port(self, u: int, i: int) -> int:
-        assert 1 <= i <= 3
+        if not 1 <= i <= 3:
+            raise ValueError(f"port slot {i} is not 1, 2 or 3")
         return 4 * u + i
 
     def derived_pair(self, source_edge: int) -> tuple[int, int]:
@@ -197,7 +198,7 @@ def reduce_hc_to_minpmst(g: WeightedGraph, rot: RotationSystem) -> HcReduction:
         bad = next(v for v in range(n) if g.degree(v) != 3)
         raise NotCubicError(f"vertex {bad} has degree {g.degree(bad)}")
     bipartition_of(g)
-    if len(connected_components(g)) != 1:
+    if not is_connected(g):
         raise DisconnectedError("source graph is not connected")
 
     tags: list[str] = []
@@ -256,20 +257,17 @@ def map_hc_to_tree(red: HcReduction, cycle: VertexCycle) -> EdgeSet:
         raise NotHamiltonianError("not a Hamiltonian cycle of the source graph")
     n = src.vertex_count
     seq = list(cycle)
-
-    def cycle_edges(s: list[int]) -> list[int]:
-        return [src.edge_index(s[k], s[(k + 1) % n]) for k in range(n)]
-
     s0 = seq[0]
     a = red.rotation.slot(s0, src.edge_index(seq[-1], s0))
     b = red.rotation.slot(s0, src.edge_index(s0, seq[1]))
     if b != _nxt(a):
+        # Reversing the cycle swaps the incoming and the outgoing edge.
         seq = [s0] + seq[1:][::-1]
-        a = red.rotation.slot(s0, src.edge_index(seq[-1], s0))
-        b = red.rotation.slot(s0, src.edge_index(s0, seq[1]))
-        assert b == _nxt(a), "two distinct slots must be consecutive one way around"
+        a, b = b, a
+        if b != _nxt(a):
+            raise AssertionError("two distinct slots must be consecutive one way around")
 
-    edges_along = cycle_edges(seq)
+    edges_along = [src.edge_index(seq[k], seq[(k + 1) % n]) for k in range(n)]
     anchor_port = red.port(s0, a)
     first_pair = red.derived_pair(edges_along[0])
     chosen = [
@@ -286,12 +284,11 @@ def map_hc_to_tree(red: HcReduction, cycle: VertexCycle) -> EdgeSet:
             for e in red.derived_pair(edges_along[k])
             if not prev_ends & set(red.graph.endpoints(e))
         ]
-        assert options, "no derived edge disjoint from the previous choice"
+        if not options:
+            raise AssertionError("no derived edge disjoint from the previous choice")
         chosen.append(options[0])
-    first_ends = set(red.graph.endpoints(chosen[0]))
-    assert not first_ends & set(red.graph.endpoints(chosen[-1])), (
-        "cycle closure reuses a port"
-    )
+    if set(red.graph.endpoints(chosen[0])) & set(red.graph.endpoints(chosen[-1])):
+        raise AssertionError("cycle closure reuses a port")
 
     covered = set()
     for e in chosen:
@@ -299,12 +296,15 @@ def map_hc_to_tree(red: HcReduction, cycle: VertexCycle) -> EdgeSet:
     matching_edges = set(chosen)
     for u in range(n):
         free = [i for i in (1, 2, 3) if red.port(u, i) not in covered]
-        assert len(free) == 1, "each hub must have exactly one exposed port"
+        if len(free) != 1:
+            raise AssertionError("each hub must have exactly one exposed port")
         matching_edges.add(red.graph.edge_index(red.hub(u), red.port(u, free[0])))
     matching = Matching.from_edges(red.graph, matching_edges)
-    assert matching.is_perfect
+    if not matching.is_perfect:
+        raise AssertionError("chosen edges do not form a perfect matching")
     tree = build_tree_containing_matching(red.graph, matching)
-    assert red.graph.total_weight(tree) == red.threshold
+    if red.graph.total_weight(tree) != red.threshold:
+        raise AssertionError("tree weight differs from the threshold")
     return tree
 
 
@@ -392,20 +392,24 @@ class CnfLayout:
         return lists[var0].index((j, l)) + 1
 
 
+def _clause_order_layout(formula: CnfFormula, sides: tuple[str, ...]) -> CnfLayout:
+    """The layout with the given clause sides whose occurrence lists are
+    in clause-then-slot order."""
+    occ: dict[str, list[list[Occurrence]]] = {
+        side: [[] for _ in range(formula.num_vars)] for side in ("in", "out")
+    }
+    for j, cl in enumerate(formula.clauses):
+        for l, lit in enumerate(cl):
+            occ[sides[j]][abs(lit) - 1].append((j, l))
+    return CnfLayout(
+        formula, sides, tuple(map(tuple, occ["in"])), tuple(map(tuple, occ["out"]))
+    )
+
+
 def default_layout(formula: CnfFormula) -> CnfLayout:
     """Every clause on the "in" side, occurrences in clause-then-slot
     order."""
-    m = len(formula.clauses)
-    in_occ: list[list[Occurrence]] = [[] for _ in range(formula.num_vars)]
-    for j in range(m):
-        for l in range(3):
-            in_occ[abs(formula.clauses[j][l]) - 1].append((j, l))
-    return CnfLayout(
-        formula,
-        ("in",) * m,
-        tuple(tuple(lst) for lst in in_occ),
-        tuple(() for _ in range(formula.num_vars)),
-    )
+    return _clause_order_layout(formula, ("in",) * len(formula.clauses))
 
 
 def parse_cnf_layout(text: str) -> CnfLayout:
@@ -467,26 +471,22 @@ def parse_cnf_layout(text: str) -> CnfLayout:
     formula = CnfFormula(num_vars, tuple(clauses))
     if any(j not in range(len(clauses)) for j in sides):
         raise BadLayoutError(f"side line for unknown clause {max(sides) + 1}")
-    side_list = tuple(sides.get(j, "in") for j in range(len(clauses)))
-    in_occ: list[list[Occurrence]] = [[] for _ in range(num_vars)]
-    out_occ: list[list[Occurrence]] = [[] for _ in range(num_vars)]
-    for j, cl in enumerate(clauses):
-        for l, lit in enumerate(cl):
-            (in_occ if side_list[j] == "in" else out_occ)[abs(lit) - 1].append((j, l))
+    layout = _clause_order_layout(
+        formula, tuple(sides.get(j, "in") for j in range(len(clauses)))
+    )
+    occ_lists = {"in": list(layout.in_occurrences), "out": list(layout.out_occurrences)}
     for (var0, side), occ in explicit_occ.items():
         if not 0 <= var0 < num_vars:
             raise BadLayoutError(f"occurrence line for unknown variable {var0 + 1}")
-        target = in_occ if side == "in" else out_occ
-        if sorted(occ) != sorted(target[var0]):
+        if sorted(occ) != sorted(occ_lists[side][var0]):
             raise BadLayoutError(
                 f"occurrence list for variable {var0 + 1} ({side}) does not match the clauses"
             )
-        target[var0] = occ
-    return CnfLayout(
-        formula,
-        side_list,
-        tuple(tuple(lst) for lst in in_occ),
-        tuple(tuple(lst) for lst in out_occ),
+        occ_lists[side][var0] = tuple(occ)
+    return replace(
+        layout,
+        in_occurrences=tuple(occ_lists["in"]),
+        out_occurrences=tuple(occ_lists["out"]),
     )
 
 
@@ -555,102 +555,64 @@ class SatReduction:
         return self.graph.edge_index(self.vertex(tag1), self.vertex(tag2))
 
 
+def _attachment(layout: CnfLayout, j: int, l: int) -> str:
+    """Tag of the cycle vertex that clause j's slot l hooks onto (both
+    0-based)."""
+    lit = layout.formula.clauses[j][l]
+    polarity = "pos" if lit > 0 else "neg"
+    return f"x{abs(lit)}.{layout.clause_side[j]}{layout.occurrence_position(j, l)}.{polarity}"
+
+
 def reduce_sat_to_sbst(layout: CnfLayout) -> SatReduction:
     f = layout.formula
-    n, m = f.num_vars, len(f.clauses)
-    tags: list[str] = []
+    n = f.num_vars
+    tags = list(_START_TAGS)
+    # Start gadget; the external edge pins variable 1's cycle to it.
+    pairs = [
+        ("start.s1", "start.p0"),
+        ("start.p0", "start.p1"),
+        ("start.p1", "start.p2"),
+        ("start.p2", "start.q1"),
+        ("start.q1", "start.s2"),
+        ("start.p2", "start.q2"),
+        ("start.q2", "start.s3"),
+        ("start.p0", "x1"),
+    ]
 
-    def add(tag: str) -> None:
-        tags.append(tag)
-
-    for t in _START_TAGS:
-        add(t)
     for i in range(1, n + 1):
-        k_in = len(layout.in_occurrences[i - 1])
-        k_out = len(layout.out_occurrences[i - 1])
-        add(f"x{i}")
-        add(f"x{i}.in0")
-        for k in range(1, k_in + 1):
-            add(f"x{i}.in{k}.pos")
-            add(f"x{i}.in{k}.neg")
-        add(f"x{i}.true")
-        add(f"x{i}.false")
-        for k in range(k_out, 0, -1):
-            add(f"x{i}.out{k}.pos")
-            add(f"x{i}.out{k}.neg")
-        add(f"x{i}.out0")
-        add(f"x{i}.hub")
-        add(f"x{i}.stem")
-        add(f"x{i}.tip")
-        add(f"x{i}.end")
-        add(f"joint{i}")
-    for j in range(1, m + 1):
-        add(f"c{j}.lit1")
-        add(f"c{j}.mid12")
-        add(f"c{j}.lit2")
-        add(f"c{j}.mid23")
-        add(f"c{j}.lit3")
-        add(f"c{j}.mid31")
-        add(f"c{j}.stem")
-        add(f"c{j}.tip")
+        x = f"x{i}"
+        ring = [x, f"{x}.in0"]
+        for k in range(1, len(layout.in_occurrences[i - 1]) + 1):
+            ring += [f"{x}.in{k}.pos", f"{x}.in{k}.neg"]
+        ring += [f"{x}.true", f"{x}.false"]
+        for k in range(len(layout.out_occurrences[i - 1]), 0, -1):
+            ring += [f"{x}.out{k}.pos", f"{x}.out{k}.neg"]
+        ring.append(f"{x}.out0")
+        tags += ring
+        tags += [f"{x}.hub", f"{x}.stem", f"{x}.tip", f"{x}.end", f"joint{i}"]
+        pairs += zip(ring, ring[1:] + ring[:1])
+        pairs += [
+            (f"{x}.hub", f"{x}.in0"),
+            (f"{x}.hub", f"{x}.out0"),
+            (f"{x}.hub", f"{x}.stem"),
+            (f"{x}.stem", f"{x}.tip"),
+            (f"{x}.end", f"{x}.true"),
+            (f"{x}.end", f"{x}.false"),
+            (f"{x}.end", f"joint{i}"),
+        ]
+        if i < n:
+            pairs.append((f"joint{i}", f"x{i + 1}"))
+
+    for j in range(len(f.clauses)):
+        c = f"c{j + 1}"
+        hexagon = [f"{c}.{name}" for l in range(3) for name in (f"lit{l + 1}", _MID_NAMES[l])]
+        tags += hexagon + [f"{c}.stem", f"{c}.tip"]
+        pairs += zip(hexagon, hexagon[1:] + hexagon[:1])
+        pairs += [(f"{c}.stem", f"{c}.mid31"), (f"{c}.stem", f"{c}.tip")]
+        pairs += [(f"{c}.lit{l + 1}", _attachment(layout, j, l)) for l in range(3)]
 
     index = {t: v for v, t in enumerate(tags)}
-    pairs: list[tuple[str, str]] = []
-
-    def connect(t1: str, t2: str) -> None:
-        pairs.append((t1, t2))
-
-    # Start gadget; the external edge pins variable 1's cycle to it.
-    connect("start.s1", "start.p0")
-    connect("start.p0", "start.p1")
-    connect("start.p1", "start.p2")
-    connect("start.p2", "start.q1")
-    connect("start.q1", "start.s2")
-    connect("start.p2", "start.q2")
-    connect("start.q2", "start.s3")
-    connect("start.p0", "x1")
-
-    for i in range(1, n + 1):
-        k_in = len(layout.in_occurrences[i - 1])
-        k_out = len(layout.out_occurrences[i - 1])
-        ring = [f"x{i}", f"x{i}.in0"]
-        for k in range(1, k_in + 1):
-            ring.append(f"x{i}.in{k}.pos")
-            ring.append(f"x{i}.in{k}.neg")
-        ring.append(f"x{i}.true")
-        ring.append(f"x{i}.false")
-        for k in range(k_out, 0, -1):
-            ring.append(f"x{i}.out{k}.pos")
-            ring.append(f"x{i}.out{k}.neg")
-        ring.append(f"x{i}.out0")
-        for idx in range(len(ring)):
-            connect(ring[idx], ring[(idx + 1) % len(ring)])
-        connect(f"x{i}.hub", f"x{i}.in0")
-        connect(f"x{i}.hub", f"x{i}.out0")
-        connect(f"x{i}.hub", f"x{i}.stem")
-        connect(f"x{i}.stem", f"x{i}.tip")
-        connect(f"x{i}.end", f"x{i}.true")
-        connect(f"x{i}.end", f"x{i}.false")
-        connect(f"x{i}.end", f"joint{i}")
-        if i < n:
-            connect(f"joint{i}", f"x{i + 1}")
-
-    for j in range(1, m + 1):
-        hexagon = [f"c{j}.lit1", f"c{j}.mid12", f"c{j}.lit2",
-                   f"c{j}.mid23", f"c{j}.lit3", f"c{j}.mid31"]
-        for idx in range(6):
-            connect(hexagon[idx], hexagon[(idx + 1) % 6])
-        connect(f"c{j}.stem", f"c{j}.mid31")
-        connect(f"c{j}.stem", f"c{j}.tip")
-        for l in range(3):
-            lit = f.clauses[j - 1][l]
-            side = layout.clause_side[j - 1]
-            k = layout.occurrence_position(j - 1, l)
-            polarity = "pos" if lit > 0 else "neg"
-            connect(f"c{j}.lit{l + 1}", f"x{abs(lit)}.{side}{k}.{polarity}")
-
-    edges = [(index[t1], index[t2], 0) for t1, t2 in pairs]
-    graph = WeightedGraph(len(tags), edges)
+    graph = WeightedGraph(len(tags), [(index[t1], index[t2], 0) for t1, t2 in pairs])
     return SatReduction(layout, graph, tuple(tags))
 
 
@@ -678,25 +640,19 @@ def map_assignment_to_sb_tree(red: SatReduction, assignment: Sequence[int]) -> E
             drops.add(red.edge_between(f"x{i}", f"x{i}.out0"))
             drops.add(red.edge_between(f"x{i}.hub", f"x{i}.in0"))
             drops.add(red.edge_between(f"x{i}.true", f"x{i}.end"))
-    for j in range(1, len(f.clauses) + 1):
+    for j, cl in enumerate(f.clauses):
+        c = f"c{j + 1}"
         sat_slot = next(
-            l
-            for l in range(3)
-            if (f.clauses[j - 1][l] > 0) == bool(assignment[abs(f.clauses[j - 1][l]) - 1])
+            l for l in range(3) if (cl[l] > 0) == bool(assignment[abs(cl[l]) - 1])
         )
         for l in range(3):
-            lit = f.clauses[j - 1][l]
-            side = red.layout.clause_side[j - 1]
-            k = red.layout.occurrence_position(j - 1, l)
-            polarity = "pos" if lit > 0 else "neg"
             if l != sat_slot:
-                drops.add(
-                    red.edge_between(f"c{j}.lit{l + 1}", f"x{abs(lit)}.{side}{k}.{polarity}")
-                )
-        drops.add(red.edge_between(f"c{j}.lit{sat_slot + 1}", f"c{j}.{_MID_NAMES[sat_slot]}"))
+                drops.add(red.edge_between(f"{c}.lit{l + 1}", _attachment(red.layout, j, l)))
+        drops.add(red.edge_between(f"{c}.lit{sat_slot + 1}", f"{c}.{_MID_NAMES[sat_slot]}"))
 
     tree = frozenset(e for e in range(red.graph.edge_count) if e not in drops)
-    assert len(tree) == red.graph.vertex_count - 1
+    if len(tree) != red.graph.vertex_count - 1:
+        raise AssertionError("the dropped edges do not leave a spanning tree")
     return tree
 
 

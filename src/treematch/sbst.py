@@ -29,7 +29,7 @@ from .graph import (
     WeightedGraph,
     as_bipartitioned_tree,
     bipartition_of,
-    connected_components,
+    is_connected,
 )
 from .matching import Matching, tree_perfect_matching
 from .matroid import GraphicMatroid, PartitionMatroid, min_weight_common_base
@@ -118,7 +118,7 @@ def min_sbst_bipartite(g: WeightedGraph) -> MinSbstResult:
     between the two side choices go to the side containing vertex 0.
     """
     bip = bipartition_of(g)
-    if len(connected_components(g)) != 1:
+    if not is_connected(g):
         raise DisconnectedError("graph is not connected")
     if not bip.is_balanced:
         raise UnbalancedError(

@@ -1,5 +1,6 @@
 """Command-line behavior: reports, exit codes, and file plumbing."""
 
+import ast
 import io
 import json
 import os
@@ -141,6 +142,57 @@ AUG_BIPARTITE_REPORT = """\
   }
 }
 """
+
+
+# Oracle reports on the graphs below, captured before the oracle's tree
+# visitors were merged.
+WHEEL_GRAPH = WeightedGraph(
+    6,
+    [(0, 1, 3), (0, 2, 1), (0, 3, 2), (0, 4, 1), (0, 5, 2),
+     (1, 2, 1), (2, 3, 2), (3, 4, 1), (4, 5, 1), (1, 5, 2)],
+)
+WHEEL_ORACLE_REPORT = """\
+{
+  "status": "feasible",
+  "value": 6,
+  "edges": [
+    [
+      0,
+      2
+    ],
+    [
+      0,
+      3
+    ],
+    [
+      0,
+      4
+    ],
+    [
+      1,
+      2
+    ],
+    [
+      4,
+      5
+    ]
+  ],
+  "certificate": null
+}
+"""
+OPTAUG_REPORT = """\
+{
+  "status": "feasible",
+  "value": 3,
+  "edges": null,
+  "certificate": null
+}
+"""
+
+# `gen random-cnf 3 4 1` and its `reduce sat-to-sbst` files, captured
+# before the gadget layout was rewritten; clauses 1 and 3 sit on the
+# "out" side, 2 and 4 on the "in" side.
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestAug:
@@ -366,6 +418,17 @@ class TestReduceSat:
         assert meta["num_vars"] == 1
         assert len(meta["tags"]) == g.vertex_count
 
+    def test_exact_files_with_both_sides(self, tmp_path, capsys):
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text((GOLDEN / "random_cnf_3_4_1.cnf").read_text())
+        out_path = tmp_path / "sat.graph"
+        code, out, _ = run(capsys, ["reduce", "sat-to-sbst", str(cnf), "--out", str(out_path)])
+        assert code == 0
+        assert out == ""
+        assert out_path.read_text() == (GOLDEN / "sat_3_4_1.graph").read_text()
+        meta = (tmp_path / "sat.graph.meta.json").read_text()
+        assert meta == (GOLDEN / "sat_3_4_1.graph.meta.json").read_text()
+
     def test_malformed_cnf(self, tmp_path, capsys):
         cnf = tmp_path / "f.cnf"
         cnf.write_text("p cnf 1 1\n1 1 0\n")
@@ -414,6 +477,11 @@ class TestGen:
         lay = parse_cnf_layout(out)
         assert len(lay.formula.clauses) == 4
 
+    def test_random_cnf_exact_text(self, capsys):
+        code, out, _ = run(capsys, ["gen", "random-cnf", "3", "4", "1"])
+        assert code == 0
+        assert out == (GOLDEN / "random_cnf_3_4_1.cnf").read_text()
+
     def test_gen_into_file(self, tmp_path, capsys):
         path = tmp_path / "k.graph"
         code, out, _ = run(capsys, ["gen", "cube", "--out", str(path)])
@@ -441,6 +509,25 @@ class TestOracleCommands:
         code, out, _ = run(capsys, ["oracle", "minsbst", path])
         assert code == 0
         assert report(out)["value"] == 6
+
+    def test_minpmst_exact_report(self, tmp_path, capsys):
+        path = write_graph(tmp_path, "wheel.graph", WHEEL_GRAPH)
+        code, out, _ = run(capsys, ["oracle", "minpmst", path])
+        assert code == 0
+        assert out == WHEEL_ORACLE_REPORT
+
+    def test_minsbst_exact_report(self, tmp_path, capsys):
+        # The hub has degree five, so this goes through plain enumeration.
+        path = write_graph(tmp_path, "wheel.graph", WHEEL_GRAPH)
+        code, out, _ = run(capsys, ["oracle", "minsbst", path])
+        assert code == 0
+        assert out == WHEEL_ORACLE_REPORT
+
+    def test_optaug_exact_report(self, tmp_path, capsys):
+        path = write_graph(tmp_path, "two.graph", WeightedGraph(6, [(0, 3, 1), (1, 4, 1)]))
+        code, out, _ = run(capsys, ["oracle", "optaug", path, "--host", "bipartite"])
+        assert code == 0
+        assert out == OPTAUG_REPORT
 
     def test_optaug(self, tmp_path, capsys):
         path = write_graph(tmp_path, "e6.graph", WeightedGraph(6, []))
@@ -533,3 +620,15 @@ def test_import_loads_only_the_standard_library():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert done.stdout.strip() == "['treematch']"
+
+
+def test_no_bare_asserts_in_the_package():
+    # `python -O` strips assert statements, so invariant checks must raise.
+    package = Path(treematch.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -136,6 +136,11 @@ class TestHcReduction:
         assert self.red.tags[14] == "port3.2"
         assert len(self.red.tags) == self.red.graph.vertex_count
 
+    @pytest.mark.parametrize("slot", [0, 4])
+    def test_port_slot_out_of_range(self, slot):
+        with pytest.raises(ValueError, match="port slot"):
+            self.red.port(3, slot)
+
     def test_edge_layout_and_origins(self):
         g = self.red.graph
         n, m = 8, 12
