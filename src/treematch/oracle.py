@@ -1,8 +1,8 @@
 """Brute-force reference implementations.
 
 Everything here is written for independence from the production solvers,
-not for speed: spanning trees are enumerated by explicit include/exclude
-recursion, matchings by subset dynamic programming, augmentation optima by
+not for speed: spanning trees are enumerated by include/exclude
+backtracking, matchings by subset dynamic programming, augmentation optima by
 branch and bound over candidate edge sets, and SAT by assignment scan.
 Tests freeze values computed by these routines and compare the fast paths
 against them.
@@ -15,7 +15,6 @@ strongly balanced, so its optima agree with plain enumeration.
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 from typing import Callable, Iterable, Sequence
 
@@ -44,10 +43,11 @@ def enumerate_spanning_trees(
     """Visit every spanning tree of g (as a sorted tuple of edge indices)
     and return their number.
 
-    Trees are produced in lexicographic order of their index tuples.  An
-    edge is included or excluded in index order; the exclude branch is
-    taken only when the remaining edges still span, so every leaf of the
-    recursion is a tree.  Raises TruncatedError past ``cap`` trees and
+    Trees are produced in lexicographic order of their index tuples.  Each
+    descent takes, in index order, every edge that joins two components;
+    backtracking drops the last chosen edge and resumes after it only when
+    the chosen edges plus the later ones still span, so every descent ends
+    in a tree.  Raises TruncatedError past ``cap`` trees and
     DisconnectedError when no spanning tree exists.
     """
     n, m = g.vertex_count, g.edge_count
@@ -62,71 +62,55 @@ def enumerate_spanning_trees(
     parent = list(range(n))
     size = [1] * n
     chosen: list[int] = []
+    absorbed: list[int] = []  # the root each chosen edge hung below another
     count = 0
-    scratch = list(range(n))
 
     def find(x: int) -> int:
         while parent[x] != x:
             x = parent[x]
         return x
 
-    def spans_without(skip_upto: int) -> bool:
-        # Do chosen + edges[skip_upto:] still connect everything?
-        for v in range(n):
-            scratch[v] = v
-
-        def sfind(x: int) -> int:
-            while scratch[x] != x:
-                scratch[x] = scratch[scratch[x]]
-                x = scratch[x]
-            return x
-
-        comps = n
-        for i in chosen:
-            ru, rv = sfind(ends_u[i]), sfind(ends_v[i])
+    i = 0
+    while True:
+        while len(chosen) < n - 1:
+            ru, rv = find(ends_u[i]), find(ends_v[i])
             if ru != rv:
-                scratch[ru] = rv
-                comps -= 1
-        for i in range(skip_upto, m):
+                if size[ru] < size[rv]:
+                    ru, rv = rv, ru
+                parent[rv] = ru
+                size[ru] += size[rv]
+                chosen.append(i)
+                absorbed.append(rv)
+            i += 1
+        count += 1
+        if count > cap:
+            raise TruncatedError(f"more than {cap} spanning trees")
+        if visit is not None:
+            visit(tuple(chosen))
+        while chosen:
+            j = chosen.pop()
+            rv = absorbed.pop()
+            size[parent[rv]] -= size[rv]
+            parent[rv] = rv
+            # Do the chosen edges plus edges[j + 1:] still span?
+            trial = parent[:]
+            comps = n - len(chosen)
+            for k in range(j + 1, m):
+                if comps == 1:
+                    break
+                a, b = ends_u[k], ends_v[k]
+                while trial[a] != a:
+                    trial[a] = a = trial[trial[a]]
+                while trial[b] != b:
+                    trial[b] = b = trial[trial[b]]
+                if a != b:
+                    trial[a] = b
+                    comps -= 1
             if comps == 1:
-                return True
-            ru, rv = sfind(ends_u[i]), sfind(ends_v[i])
-            if ru != rv:
-                scratch[ru] = rv
-                comps -= 1
-        return comps == 1
-
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * m + 100))
-
-    def rec(i: int) -> None:
-        nonlocal count
-        if len(chosen) == n - 1:
-            count += 1
-            if count > cap:
-                raise TruncatedError(f"more than {cap} spanning trees")
-            if visit is not None:
-                visit(tuple(chosen))
-            return
-        if i == m:
-            return
-        ru, rv = find(ends_u[i]), find(ends_v[i])
-        if ru == rv:
-            rec(i + 1)
-            return
-        if size[ru] < size[rv]:
-            ru, rv = rv, ru
-        parent[rv] = ru
-        size[ru] += size[rv]
-        chosen.append(i)
-        rec(i + 1)
-        chosen.pop()
-        size[ru] -= size[rv]
-        parent[rv] = rv
-        if spans_without(i + 1):
-            rec(i + 1)
-
-    rec(0)
-    return count
+                i = j + 1
+                break
+        else:
+            return count
 
 
 def spanning_tree_count_determinant(g: WeightedGraph) -> int:
@@ -168,8 +152,6 @@ def spanning_tree_count_determinant(g: WeightedGraph) -> int:
 
 def _tree_has_perfect_matching(adj: list[list[int]]) -> bool:
     n = len(adj)
-    if n % 2:
-        return False
     deg = [len(nbrs) for nbrs in adj]
     alive = [True] * n
     stack = [v for v in range(n) if deg[v] == 1]
@@ -254,8 +236,11 @@ def brute_force_min_pmst(
     g: WeightedGraph, cap: int = DEFAULT_TREE_CAP
 ) -> tuple[EdgeSet, int] | None:
     """Minimum-weight spanning tree containing a perfect matching, by
-    checking every spanning tree.  None when no tree has one;
-    DisconnectedError when g has no spanning tree."""
+    checking every spanning tree.  None when no tree has one, at once
+    when the order is odd; DisconnectedError when g has no spanning
+    tree."""
+    if g.vertex_count % 2 and is_connected(g):
+        return None
     return _lightest_tree(g, _tree_has_perfect_matching, cap)
 
 
@@ -302,7 +287,6 @@ class _SbSearch:
         self.trail: list[tuple] = []
         self.in_count = 0
         self.in_weight = 0
-        self.und_total = self.m
         self.comp_count = self.n
         self.nodes = 0
         self.dirty = True
@@ -389,7 +373,6 @@ class _SbSearch:
         self.state[e] = val
         self.und[u] -= 1
         self.und[v] -= 1
-        self.und_total -= 1
         if val == self.IN:
             self.in_count += 1
             self.in_weight += self.wts[e]
@@ -510,7 +493,6 @@ class _SbSearch:
                 self.state[e] = 0
                 self.und[u] += 1
                 self.und[v] += 1
-                self.und_total += 1
             elif tag == "u":
                 _, ru, rv, d0, d1, f0, f1, l0, l1 = entry
                 self.parent[rv] = rv
@@ -609,7 +591,9 @@ def brute_force_min_sbst(
 
     Plain enumeration does the work; graphs of maximum degree three go
     through the pruned search instead, which reaches sizes where plain
-    enumeration would be hopeless.
+    enumeration would be hopeless.  ``cap`` bounds only the enumeration:
+    the pruned search ignores it and stops at its own node cap,
+    ``DEFAULT_NODE_CAP``.
     """
     if not is_connected(g):
         return None
@@ -631,59 +615,15 @@ def brute_force_sbst_exists(
 # Augmentation oracle (branch and bound over candidate host edges)
 
 
-_PAIRS: dict[int, list[tuple[int, int]]] = {}
-_STATS: dict[tuple[int, int], tuple[int, int]] = {}
-
-
-def _pairs(n: int) -> list[tuple[int, int]]:
-    if n not in _PAIRS:
-        _PAIRS[n] = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return _PAIRS[n]
-
-
-def _graph_stats(n: int, mask: int) -> tuple[int, int]:
-    """(deficiency, component count) of the graph on n vertices whose edge
-    set is given as a bitmask over the lexicographic pair list."""
-    key = (n, mask)
-    hit = _STATS.get(key)
-    if hit is not None:
-        return hit
-    pairs = _pairs(n)
-    nbr = [0] * n
-    rest = mask
-    while rest:
-        low = rest & -rest
-        u, v = pairs[low.bit_length() - 1]
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
-        rest ^= low
-    seen = 0
-    comps = 0
-    for v in range(n):
-        if not (seen >> v) & 1:
-            comps += 1
-            frontier = 1 << v
-            while frontier:
-                seen |= frontier
-                nxt = 0
-                f = frontier
-                while f:
-                    lb = f & -f
-                    nxt |= nbr[lb.bit_length() - 1]
-                    f ^= lb
-                frontier = nxt & ~seen
-    result = (n - 2 * _matching_number(n, nbr), comps)
-    _STATS[key] = result
-    return result
-
-
 def brute_force_opt_aug(h: WeightedGraph, host: HostKind) -> int:
     """Minimum number of host edges whose addition makes h connected with
     a perfect matching, by exhaustive branch and bound.
 
     Admissible bound: at least components-1 edges are needed for
     connectivity and at least deficiency/2 for the matching, and one added
-    edge improves each count by at most one.  Limited to 8 vertices.
+    edge improves each count by at most one.  Each search node carries the
+    matching number of every vertex subset and the component labels of its
+    graph.  Limited to 8 vertices.
     """
     n = h.vertex_count
     if n > 8:
@@ -691,30 +631,53 @@ def brute_force_opt_aug(h: WeightedGraph, host: HostKind) -> int:
     if n % 2:
         raise OddVertexCountError(f"{n} vertices cannot be perfectly matched")
     host.validate_graph(h)
-    pairs = _pairs(n)
-    slot = {p: i for i, p in enumerate(pairs)}
-    base = 0
+    full = (1 << n) - 1
+
+    def add_edge(
+        dp: bytearray, comp: list[int], u: int, v: int
+    ) -> tuple[bytearray, list[int]]:
+        # A best matching of a subset s holding both ends either leaves uv
+        # out or is uv plus a best matching of s without u and v.  Subsets
+        # without u and v are read here but never written.
+        both = (1 << u) | (1 << v)
+        others = full ^ both
+        dp = bytearray(dp)
+        rest = others
+        while True:
+            with_uv = dp[rest] + 1
+            if with_uv > dp[rest | both]:
+                dp[rest | both] = with_uv
+            if not rest:
+                break
+            rest = (rest - 1) & others
+        cu, cv = comp[u], comp[v]
+        if cu != cv:
+            comp = [cu if c == cv else c for c in comp]
+        return dp, comp
+
+    dp, comp = bytearray(1 << n), list(range(n))
     for u, v, _ in h.edges:
-        base |= 1 << slot[(u, v)]
-    cands = [slot[p] for p in pairs if not (base >> slot[p]) & 1 and host.admits_edge(*p)]
+        dp, comp = add_edge(dp, comp, u, v)
+    cands = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if not h.has_edge(u, v) and host.admits_edge(u, v)
+    ]
     best = n * n  # loose upper bound, beaten immediately
 
-    def bound(mask: int) -> int:
-        d, c = _graph_stats(n, mask)
-        return max(c - 1, d // 2)
-
-    def dfs(pos: int, added: int, mask: int) -> None:
+    def dfs(pos: int, added: int, dp: bytearray, comp: list[int]) -> None:
         nonlocal best
-        b = bound(mask)
+        b = max(len(set(comp)) - 1, (n - 2 * dp[full]) // 2)
         if added + b >= best:
             return
         if b == 0:
             best = added
             return
         for i in range(pos, len(cands)):
-            dfs(i + 1, added + 1, mask | (1 << cands[i]))
+            dfs(i + 1, added + 1, *add_edge(dp, comp, *cands[i]))
 
-    dfs(0, 0, base)
+    dfs(0, 0, dp, comp)
     return best
 
 
@@ -722,9 +685,15 @@ def brute_force_opt_aug(h: WeightedGraph, host: HostKind) -> int:
 # Matching oracle
 
 
-def _matching_number(n: int, nbr: Sequence[int]) -> int:
-    """Maximum matching size of the graph on n vertices whose neighbor
-    sets are the bitmasks ``nbr``, by DP over vertex subsets."""
+def max_matching_size_exhaustive(g: WeightedGraph) -> int:
+    """Maximum matching size by subset DP; limited to 20 vertices."""
+    n = g.vertex_count
+    if n > 20:
+        raise TooLargeError(f"{n} vertices is past the exhaustive limit of 20")
+    nbr = [0] * n
+    for u, v, _ in g.edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
     dp = bytearray(1 << n)
     for s in range(1, 1 << n):
         lb = s & -s
@@ -740,18 +709,6 @@ def _matching_number(n: int, nbr: Sequence[int]) -> int:
             cand ^= ub
         dp[s] = best
     return dp[(1 << n) - 1]
-
-
-def max_matching_size_exhaustive(g: WeightedGraph) -> int:
-    """Maximum matching size by subset DP; limited to 20 vertices."""
-    n = g.vertex_count
-    if n > 20:
-        raise TooLargeError(f"{n} vertices is past the exhaustive limit of 20")
-    nbr = [0] * n
-    for u, v, _ in g.edges:
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
-    return _matching_number(n, nbr)
 
 
 # ---------------------------------------------------------------------------

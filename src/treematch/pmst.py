@@ -36,7 +36,6 @@ from .graph import EdgeSet, WeightedGraph, connected_components, is_connected
 from .matching import (
     DeficiencyProfile,
     Matching,
-    deficiency_profile,
     maximum_matching,
 )
 

@@ -632,3 +632,32 @@ def test_no_bare_asserts_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_no_process_global_state_in_the_package():
+    # Module-level containers, `global` rebinding and recursion-limit
+    # changes all outlive a call; the package keeps no state between calls.
+    package = Path(treematch.__file__).resolve().parent
+    mutable = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Global) or (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None))
+                == "setrecursionlimit"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            if isinstance(node.value, mutable) and not any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in targets
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -1,7 +1,8 @@
 """Ground-truth oracles, checked against each other and closed forms."""
 
 import random
-from itertools import product
+import sys
+from itertools import combinations, product
 
 import pytest
 
@@ -96,6 +97,46 @@ class TestEnumerateSpanningTrees:
             g = connected_random(rng, n, rng.randrange(0, n))
             assert enumerate_spanning_trees(g) == spanning_tree_count_determinant(g)
 
+    def test_order_matches_filtered_combinations(self):
+        # Every (n-1)-subset of edge indices, in lexicographic order, kept
+        # when it closes no cycle: an independent reference for both the
+        # trees and their order.
+        def acyclic(g, subset):
+            root = list(range(g.vertex_count))
+
+            def find(x):
+                while root[x] != x:
+                    x = root[x]
+                return x
+
+            for i in subset:
+                ru, rv = find(g.edges[i][0]), find(g.edges[i][1])
+                if ru == rv:
+                    return False
+                root[ru] = rv
+            return True
+
+        rng = random.Random(507)
+        for _ in range(200):
+            n = rng.randrange(1, 8)
+            g = connected_random(rng, n, rng.randrange(0, n * (n - 1) // 2 - n + 2))
+            want = [
+                t
+                for t in combinations(range(g.edge_count), n - 1)
+                if acyclic(g, t)
+            ]
+            seen = []
+            assert enumerate_spanning_trees(g, seen.append) == len(want)
+            assert seen == want
+
+    def test_long_path_leaves_recursion_limit_alone(self):
+        # A triangle on 0, 1, 2 followed by a path through 1500 vertices.
+        n = 1502
+        edges = [(0, 1), (0, 2), (1, 2)] + [(v, v + 1) for v in range(2, n - 1)]
+        limit = sys.getrecursionlimit()
+        assert enumerate_spanning_trees(WeightedGraph(n, edges)) == 3
+        assert sys.getrecursionlimit() == limit
+
 
 class TestDeterminantCount:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
@@ -119,6 +160,14 @@ class TestBruteForceMinPmst:
 
     def test_odd_order_has_no_answer(self):
         assert brute_force_min_pmst(cycle(3)) is None
+
+    def test_odd_order_answers_before_enumerating(self):
+        # K7 has 16,807 spanning trees; a cap of one shows none is visited.
+        assert brute_force_min_pmst(complete(7), cap=1) is None
+
+    def test_odd_order_disconnected_still_rejected(self):
+        with pytest.raises(DisconnectedError):
+            brute_force_min_pmst(WeightedGraph(5, [(0, 1, 1), (2, 3, 1)]), cap=1)
 
     def test_star_has_no_answer(self):
         g = WeightedGraph(4, [(0, 1, 1), (0, 2, 1), (0, 3, 1)])
