@@ -53,10 +53,6 @@ def enumerate_spanning_trees(
     n, m = g.vertex_count, g.edge_count
     if not is_connected(g):
         raise DisconnectedError("graph has no spanning tree")
-    if n == 1:
-        if visit is not None:
-            visit(())
-        return 1
     ends_u = [e[0] for e in g.edges]
     ends_v = [e[1] for e in g.edges]
     parent = list(range(n))

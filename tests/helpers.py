@@ -1,10 +1,13 @@
-"""Shared test utilities: mask-indexed small graphs, Prüfer decoding, and
-seeded random instance builders used across the suite."""
+"""Shared test utilities: mask-indexed small graphs, Prüfer decoding,
+seeded random instance builders, and the reference matroid-intersection
+search used across the suite."""
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from itertools import combinations
+from math import inf
 
 from treematch import WeightedGraph
 
@@ -88,6 +91,25 @@ def random_connected_bipartite(
     )
 
 
+def planted_sb_bipartite(
+    rng: random.Random, side: int, target_edges: int, wmax: int = 9
+) -> WeightedGraph:
+    """Balanced bipartite graph on 2*side vertices (sides 0..side-1 and
+    side..2*side-1) with about target_edges edges, holding a planted
+    strongly balanced tree: a random path that alternates sides, plus
+    random crossing fill, weights uniform in 0..wmax."""
+    plus, minus = list(range(side)), list(range(side, 2 * side))
+    rng.shuffle(plus)
+    rng.shuffle(minus)
+    path = [v for pair in zip(plus, minus) for v in pair]
+    chosen = {(min(u, v), max(u, v)) for u, v in zip(path, path[1:])}
+    while len(chosen) < target_edges:
+        chosen.add((rng.randrange(side), rng.randrange(side, 2 * side)))
+    return WeightedGraph(
+        2 * side, [(u, v, rng.randint(0, wmax)) for u, v in sorted(chosen)]
+    )
+
+
 def _components_of(n: int, edge_pairs: set[tuple[int, int]]) -> list[int]:
     parent = list(range(n))
 
@@ -114,3 +136,86 @@ def random_subcubic(rng: random.Random, n: int, tries: int = 60) -> WeightedGrap
             deg[u] += 1
             deg[v] += 1
     return WeightedGraph(n, [(u, v, 1) for u, v in chosen])
+
+
+def reference_common_base(m1, m2, weights, k):
+    """``min_weight_common_base`` as it was before direct augmentations and
+    potentials: every round builds the whole exchange digraph and runs the
+    label-correcting search.  Kept as the reference whose tie-breaks the
+    solver must reproduce exactly."""
+    g = m1.ground_size
+    if k > g:
+        return None
+    hub1, hub2, src_node = g, g + 1, g + 2
+    node_count = g + 3
+    scale = 2 * g + 4
+    in_set = [False] * g
+    selection: list[int] = []
+    for _ in range(k):
+        ctx1 = m1.prepare(selection)
+        ctx2 = m2.prepare(selection)
+        out: list[list[tuple[int, int]]] = [[] for _ in range(node_count)]
+        sinks: list[int] = []
+        any_source = False
+        for y in range(g):
+            if in_set[y]:
+                continue
+            enter = weights[y] * scale + 1
+            if ctx1.addable(y):
+                any_source = True
+                out[src_node].append((y, enter))
+                if selection:
+                    out[hub1].append((y, enter))
+            else:
+                for x in ctx1.swap_candidates(y):
+                    out[x].append((y, enter))
+            if ctx2.addable(y):
+                sinks.append(y)
+                if selection:
+                    out[y].append((hub2, 0))
+            else:
+                for x in ctx2.swap_candidates(y):
+                    out[y].append((x, -weights[x] * scale + 1))
+        for x in selection:
+            out[x].append((hub1, 0))
+            out[hub2].append((x, -weights[x] * scale + 1))
+        if not any_source or not sinks:
+            return None
+        dist, pred = _reference_shortest_paths(out, src_node)
+        best_sink = -1
+        for y in sinks:
+            if dist[y] < inf and (best_sink == -1 or dist[y] < dist[best_sink]):
+                best_sink = y
+        if best_sink == -1:
+            return None
+        node = best_sink
+        while node != src_node:
+            if node < g:
+                in_set[node] = not in_set[node]
+            node = pred[node]
+        selection = [x for x in range(g) if in_set[x]]
+    return frozenset(selection)
+
+
+def _reference_shortest_paths(out, start):
+    """Queue-based Bellman-Ford; each node's predecessor is the smallest
+    source id among its tight in-arcs."""
+    dist = [inf] * len(out)
+    pred = [-1] * len(out)
+    queued = [False] * len(out)
+    dist[start] = 0
+    queue = deque([start])
+    while queue:
+        s = queue.popleft()
+        queued[s] = False
+        for d, key in out[s]:
+            nd = dist[s] + key
+            if nd < dist[d]:
+                dist[d] = nd
+                pred[d] = s
+                if not queued[d]:
+                    queued[d] = True
+                    queue.append(d)
+            elif nd == dist[d] and s < pred[d]:
+                pred[d] = s
+    return dist, pred

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from helpers import graph_from_mask, pairs_of
+from helpers import graph_from_mask, pairs_of, reference_common_base
 from treematch import (
     GraphicMatroid,
     GroundSetMismatchError,
@@ -197,3 +197,48 @@ class TestMinWeightCommonBase:
         shifted = min_weight_common_base(m1, m2, [w + 7 for w in weights], k)
         assert base is not None and shifted is not None
         assert sum(weights[e] + 7 for e in shifted) == sum(weights[e] for e in base) + 7 * k
+
+
+def random_partition(rng, ground):
+    """Partition matroid on range(ground): up to four shuffled parts with
+    random capacities."""
+    order = list(range(ground))
+    rng.shuffle(order)
+    cuts = sorted(rng.sample(range(1, ground), min(rng.randint(0, 3), ground - 1)))
+    bounds = [0] + cuts + [ground]
+    parts = [order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    return PartitionMatroid(parts, [rng.randint(0, len(p)) for p in parts])
+
+
+class TestAgainstReference:
+    """The solver's sets must equal, not just weigh the same as, those of
+    the every-round exchange-graph search in ``helpers``: which optimal
+    set comes out is part of the observable output."""
+
+    WEIGHTS = {
+        "mixed sign": lambda rng: rng.randint(-5, 9),
+        "tied": lambda rng: rng.randint(0, 2),
+        "all zero": lambda rng: 0,
+    }
+
+    @pytest.mark.parametrize("kind", sorted(WEIGHTS))
+    def test_same_sets_at_every_k(self, kind):
+        rng = random.Random(f"reference:{kind}")
+        draw = self.WEIGHTS[kind]
+        calls = 0
+        while calls < 1500:
+            n = rng.randint(3, 9)
+            g = graph_from_mask(n, rng.getrandbits(len(pairs_of(n))))
+            ground = g.edge_count
+            if ground < 2:
+                continue
+            weights = [draw(rng) for _ in range(ground)]
+            graphic = GraphicMatroid(g)
+            p1, p2 = random_partition(rng, ground), random_partition(rng, ground)
+            for m1, m2 in ((graphic, p1), (p1, graphic), (p1, p2)):
+                for k in range(ground + 1):
+                    want = reference_common_base(m1, m2, weights, k)
+                    assert min_weight_common_base(m1, m2, weights, k) == want, (
+                        g.edges, weights, k,
+                    )
+                    calls += 1

@@ -57,6 +57,13 @@ class TestEnumerateSpanningTrees:
         assert enumerate_spanning_trees(WeightedGraph(1, []), seen.append) == 1
         assert seen == [()]
 
+    def test_single_vertex_counts_against_cap(self):
+        seen = []
+        with pytest.raises(TruncatedError):
+            enumerate_spanning_trees(WeightedGraph(1, []), seen.append, cap=0)
+        assert seen == []
+        assert enumerate_spanning_trees(WeightedGraph(1, []), cap=1) == 1
+
     def test_cycle_four(self):
         assert enumerate_spanning_trees(cycle(4)) == 4
 

@@ -19,7 +19,7 @@ from treematch import (
 from treematch.cli import main
 from treematch.oracle import brute_force_min_sbst
 
-from helpers import random_connected_bipartite, random_tree_edges
+from helpers import planted_sb_bipartite, random_connected_bipartite, random_tree_edges
 
 
 def pairs_in(matching):
@@ -258,6 +258,19 @@ TIE_BREAK_TREES = {
     (6, 10, 30): [0, 2, 5, 7, 8, 10, 12, 13, 14, 15, 16, 18, 19, 22, 23, 24, 26, 27, 29],
 }
 
+# planted_sb_bipartite(random.Random(100), 50, 600): a graph the size of
+# the sbst-bipartite benchmark's, and its minimum strongly balanced tree
+# (weight 60) as edge indices.
+BENCH_SIZED_TREE = [
+    0, 11, 22, 24, 32, 33, 52, 55, 59, 64, 68, 76, 84, 85, 98, 102, 103, 110,
+    111, 114, 122, 127, 136, 139, 146, 152, 161, 165, 169, 172, 182, 186, 192,
+    195, 205, 206, 216, 217, 232, 236, 240, 246, 251, 256, 264, 266, 279, 280,
+    289, 310, 311, 316, 318, 323, 324, 330, 333, 339, 345, 356, 358, 366, 367,
+    376, 377, 389, 397, 406, 410, 411, 413, 431, 432, 435, 437, 452, 454, 461,
+    464, 470, 474, 484, 486, 490, 492, 506, 509, 516, 529, 534, 538, 548, 553,
+    558, 572, 583, 586, 589, 592,
+]
+
 TIE_BREAK_REPORT = """\
 {
   "status": "feasible",
@@ -323,3 +336,11 @@ class TestTieBreaks:
         path.write_text(format_graph(two_valued_bipartite(1, 3, 7)))
         assert main(["minsbst-bipartite", str(path)]) == 0
         assert capsys.readouterr().out == TIE_BREAK_REPORT
+
+    def test_exact_bench_sized_tree(self):
+        g = planted_sb_bipartite(random.Random(100), 50, 600)
+        assert g.edge_count == 600
+        res = min_sbst_bipartite(g)
+        assert res.total_weight == 60
+        assert sorted(res.tree) == BENCH_SIZED_TREE
+        assert res.certificate.unique_leaf == 24
