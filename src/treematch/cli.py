@@ -338,16 +338,15 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:
     g = _load(args.graph)
-    overlay: set[tuple[int, int]] = set()
-    if args.overlay:
-        o = _load(args.overlay)
-        if o.vertex_count != g.vertex_count:
-            raise TreematchError("overlay vertex count differs from the graph")
-        overlay = {(u, v) for u, v, _ in o.edges}
-    tags: list[str] | None = None
+    overlay = _load(args.overlay) if args.overlay else None
+    if overlay is not None and overlay.vertex_count != g.vertex_count:
+        raise TreematchError("overlay vertex count differs from the graph")
+    tags: list | None = None
     if args.tags:
         doc = json.loads(_read_text(args.tags))
-        tags = doc["tags"] if isinstance(doc, dict) else doc
+        tags = doc.get("tags") if isinstance(doc, dict) else doc
+        if not isinstance(tags, list):
+            raise TreematchError('tags must be a list, or an object with a list under "tags"')
         if len(tags) != g.vertex_count:
             raise TreematchError(f"{len(tags)} tags for {g.vertex_count} vertices")
     lines = ["graph treematch {", "  node [shape=circle];"]
@@ -355,7 +354,7 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
         label = f"{v}: {tags[v]}" if tags else str(v)
         lines.append(f'  {v} [label="{label}"];')
     for u, v, w in g.edges:
-        style = ", style=bold, penwidth=2" if (u, v) in overlay else ""
+        style = ", style=bold, penwidth=2" if overlay is not None and overlay.has_edge(u, v) else ""
         lines.append(f'  {u} -- {v} [label="{w}"{style}];')
     lines.append("}")
     _write_text(args.out, "\n".join(lines) + "\n")

@@ -10,9 +10,9 @@ values over those indices.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     GraphFormatError,
@@ -31,44 +31,63 @@ PLUS = 0
 MINUS = 1
 
 
+class BadEdgeError(ValueError):
+    """``WeightedGraph`` rejected one entry of its edge list; ``position``
+    is that entry's 0-based index in the list."""
+
+    def __init__(self, message: str, position: int):
+        self.position = position
+        super().__init__(message)
+
+
 @dataclass(frozen=True)
 class WeightedGraph:
     """A simple undirected graph with integer edge weights.
 
     Edges are normalized to ``(u, v, weight)`` with ``u < v`` and kept in
-    construction order.  Self-loops and parallel edges are rejected.
+    construction order.  This constructor is the one place where an edge
+    list is checked: an entry that is not ``(u, v)`` or ``(u, v, w)`` over
+    integers, a self-loop, a vertex outside ``0 .. vertex_count - 1`` and a
+    parallel edge each raise ``BadEdgeError`` (a ``ValueError``) naming
+    the entry's position.  The ``(u, v) -> index`` map built while
+    rejecting parallel edges serves ``edge_index`` and ``has_edge``.
     """
 
     vertex_count: int
     edges: tuple[tuple[int, int, int], ...]
+    _index: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
 
     def __init__(self, vertex_count: int, edges: Iterable[Sequence[int]] = ()):
         if not isinstance(vertex_count, int) or vertex_count < 1:
             raise ValueError(f"vertex count must be a positive integer, got {vertex_count!r}")
         normalized: list[tuple[int, int, int]] = []
-        seen: set[tuple[int, int]] = set()
-        for item in edges:
-            if len(item) == 2:
+        index: dict[tuple[int, int], int] = {}
+        for pos, item in enumerate(edges):
+            if len(item) == 3:
+                u, v, w = item  # type: ignore[misc]
+            elif len(item) == 2:
                 u, v = item  # type: ignore[misc]
                 w = 0
-            elif len(item) == 3:
-                u, v, w = item  # type: ignore[misc]
             else:
-                raise ValueError(f"edge must be (u, v) or (u, v, w), got {item!r}")
+                raise BadEdgeError(f"edge must be (u, v) or (u, v, w), got {item!r}", pos)
             if not (isinstance(u, int) and isinstance(v, int) and isinstance(w, int)):
-                raise ValueError(f"edge entries must be integers, got {item!r}")
+                raise BadEdgeError(f"edge entries must be integers, got {item!r}", pos)
             if u == v:
-                raise ValueError(f"self-loop at vertex {u} is not allowed")
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise ValueError(f"edge {item!r} uses a vertex outside 0..{vertex_count - 1}")
+                raise BadEdgeError(f"self-loop at vertex {u} is not allowed", pos)
             if u > v:
                 u, v = v, u
-            if (u, v) in seen:
-                raise ValueError(f"parallel edge {{{u}, {v}}}")
-            seen.add((u, v))
+            if u < 0 or v >= vertex_count:
+                raise BadEdgeError(
+                    f"edge {{{u}, {v}}} uses a vertex outside 0..{vertex_count - 1}", pos
+                )
+            key = (u, v)
+            if key in index:
+                raise BadEdgeError(f"parallel edge {{{u}, {v}}}", pos)
+            index[key] = pos
             normalized.append((u, v, w))
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", tuple(normalized))
+        object.__setattr__(self, "_index", index)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -89,20 +108,12 @@ class WeightedGraph:
             adj[v].append((i, u))
         return tuple(tuple(a) for a in adj)
 
-    @cached_property
-    def _index_of(self) -> dict[tuple[int, int], int]:
-        return {(u, v): i for i, (u, v, _) in enumerate(self.edges)}
-
     def edge_index(self, u: int, v: int) -> int:
         """Index of the edge {u, v}; KeyError if absent."""
-        if u > v:
-            u, v = v, u
-        return self._index_of[(u, v)]
+        return self._index[(u, v) if u < v else (v, u)]
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self._index_of
+        return ((u, v) if u < v else (v, u)) in self._index
 
     def endpoints(self, edge: int) -> tuple[int, int]:
         u, v, _ = self.edges[edge]
@@ -157,23 +168,15 @@ class BipartitionedTree:
     """A spanning tree of its graph together with the tree's 2-coloring.
 
     The coloring is canonicalized so vertex 0 is on the PLUS side.
-    ``degree[v]`` is the degree of v within the tree.
+    ``degree[v]`` is the degree of v within the tree, and ``adjacency[v]``
+    its tree-only ``(edge_index, neighbor)`` pairs in ascending edge index.
     """
 
     graph: WeightedGraph
     edges: EdgeSet
     bipartition: Bipartition
     degree: tuple[int, ...]
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Tree-only adjacency: per vertex ``(edge_index, neighbor)`` pairs."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.graph.vertex_count)]
-        for i in sorted(self.edges):
-            u, v, _ = self.graph.edges[i]
-            adj[u].append((i, v))
-            adj[v].append((i, u))
-        return tuple(tuple(a) for a in adj)
+    adjacency: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False, compare=False)
 
     @property
     def total_weight(self) -> int:
@@ -276,26 +279,25 @@ def as_bipartitioned_tree(g: WeightedGraph, tree_edges: Iterable[int]) -> Bipart
     """
     edges = frozenset(tree_edges)
     n = g.vertex_count
-    for i in edges:
+    order = sorted(edges)
+    for i in order[:1] + order[-1:]:  # only the ends of a sorted list can be out of range
         if not (0 <= i < g.edge_count):
             raise NotATreeError(f"edge index {i} out of range")
     if len(edges) != n - 1:
         raise NotATreeError(f"spanning tree needs {n - 1} edges, got {len(edges)}")
-    adj: list[list[int]] = [[] for _ in range(n)]
-    degree = [0] * n
-    for i in edges:
-        u, v, _ = g.edges[i]
-        adj[u].append(v)
-        adj[v].append(u)
-        degree[u] += 1
-        degree[v] += 1
+    ends = g.edges
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i in order:
+        u, v, _ = ends[i]
+        adj[u].append((i, v))
+        adj[v].append((i, u))
     side = [-1] * n
     side[0] = PLUS
     queue = deque([0])
     reached = 1
     while queue:
         x = queue.popleft()
-        for y in adj[x]:
+        for _, y in adj[x]:
             if side[y] == -1:
                 side[y] = 1 - side[x]
                 reached += 1
@@ -303,7 +305,9 @@ def as_bipartitioned_tree(g: WeightedGraph, tree_edges: Iterable[int]) -> Bipart
     if reached != n:
         # n-1 edges but not spanning: there is a cycle somewhere.
         raise NotATreeError("edge set does not span all vertices")
-    return BipartitionedTree(g, edges, Bipartition(tuple(side)), tuple(degree))
+    return BipartitionedTree(
+        g, edges, Bipartition(tuple(side)), tuple(map(len, adj)), tuple(map(tuple, adj))
+    )
 
 
 def is_hamiltonian_cycle(g: WeightedGraph, cycle: Sequence[int]) -> bool:
@@ -324,16 +328,30 @@ def is_hamiltonian_cycle(g: WeightedGraph, cycle: Sequence[int]) -> bool:
 #   e <u> <v> [<weight>]        (weight omitted means 0)
 
 
-def parse_graph(text: str) -> WeightedGraph:
-    n = -1
-    m = -1
-    edges: list[tuple[int, int, int]] = []
-    seen: set[tuple[int, int]] = set()
+def _tokenized_lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """``(line number, whitespace-split fields)`` of each line of a text
+    file that is neither blank nor a ``c`` comment; numbers start at 1."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+        if line and not line.startswith("c"):
+            yield lineno, line.split()
+
+
+def parse_graph(text: str) -> WeightedGraph:
+    """Read the graph format above.
+
+    This function checks the lines and ``WeightedGraph`` checks the edges,
+    so ``GraphFormatError`` reports, in this order: the first malformed
+    line (a bad or second ``p`` line, a bad ``e`` line, an ``e`` line
+    before the ``p`` line, an unknown line type) or a missing ``p`` line;
+    then the first self-loop, out-of-range vertex or parallel edge, at its
+    line; then an edge count that differs from the announced one.
+    """
+    n = -1
+    m = -1
+    edges: list[tuple[int, ...]] = []
+    edge_lines: list[int] = []
+    for lineno, parts in _tokenized_lines(text):
         if parts[0] == "p":
             if n != -1:
                 raise GraphFormatError("duplicate p line", lineno)
@@ -351,26 +369,21 @@ def parse_graph(text: str) -> WeightedGraph:
             if len(parts) not in (3, 4):
                 raise GraphFormatError("e line must be 'e <u> <v> [<w>]'", lineno)
             try:
-                u, v = int(parts[1]), int(parts[2])
-                w = int(parts[3]) if len(parts) == 4 else 0
+                edges.append(tuple(map(int, parts[1:])))
             except ValueError:
                 raise GraphFormatError("e line must hold integers", lineno) from None
-            if u == v:
-                raise GraphFormatError(f"self-loop at vertex {u}", lineno)
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphFormatError(f"vertex out of range in edge {u} {v}", lineno)
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise GraphFormatError(f"parallel edge {{{key[0]}, {key[1]}}}", lineno)
-            seen.add(key)
-            edges.append((u, v, w))
+            edge_lines.append(lineno)
         else:
             raise GraphFormatError(f"unknown line type {parts[0]!r}", lineno)
     if n == -1:
         raise GraphFormatError("missing p line")
-    if len(edges) != m:
-        raise GraphFormatError(f"p line announced {m} edges, file holds {len(edges)}")
-    return WeightedGraph(n, edges)
+    try:
+        g = WeightedGraph(n, edges)
+    except BadEdgeError as exc:
+        raise GraphFormatError(str(exc), edge_lines[exc.position]) from None
+    if g.edge_count != m:
+        raise GraphFormatError(f"p line announced {m} edges, file holds {g.edge_count}")
+    return g
 
 
 def format_graph(g: WeightedGraph, comment: str | None = None) -> str:

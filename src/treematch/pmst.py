@@ -298,7 +298,6 @@ def greedy_augment(h: WeightedGraph, host: HostKind) -> AugmentationResult:
         return sum(len(exposed[s][r]) for s in sides)
 
     added: list[tuple[int, int]] = []
-    existing = {(u, v) for u, v, _ in h.edges}
 
     def merge(r1: int, r2: int) -> None:
         root, other = (r1, r2) if r1 < r2 else (r2, r1)
@@ -314,9 +313,8 @@ def greedy_augment(h: WeightedGraph, host: HostKind) -> AugmentationResult:
 
     def add_matching_edge(v1: int, v2: int) -> None:
         u, v = min(v1, v2), max(v1, v2)
-        if (u, v) in existing:
+        if h.has_edge(u, v):
             raise AssertionError("matched pair is already adjacent")
-        existing.add((u, v))
         added.append((u, v))
         mate[v1] = v2
         mate[v2] = v1
@@ -433,7 +431,7 @@ def greedy_augment(h: WeightedGraph, host: HostKind) -> AugmentationResult:
         if v2 is None:
             raise AssertionError("stage 4: component has no vertex on the needed side")
         u, v = min(v1, v2), max(v1, v2)
-        if (u, v) in existing:
+        if h.has_edge(u, v):
             raise AssertionError("stage 4: connector is already an edge")
         added.append((u, v))
 
@@ -490,20 +488,12 @@ def min_pmst_two_valued(
             raise HostMismatchError(f"light edge {{{u}, {v}}} is not a host edge")
         pairs.append((u, v))
     g0 = WeightedGraph(n, [(u, v, light_weight) for u, v in pairs])
-    host.validate_graph(g0)
     aug = greedy_augment(g0, host)
 
-    support = WeightedGraph(
-        n,
-        [(u, v, light_weight) for u, v, _ in g0.edges]
-        + [(u, v, heavy_weight) for u, v in aug.added_edges],
-    )
-    # Translate the matching from the augmented graph onto the support graph.
-    matching_edges = frozenset(
-        support.edge_index(aug.graph.edges[i][0], aug.graph.edges[i][1])
-        for i in aug.matching.edges
-    )
-    matching = Matching.from_edges(support, matching_edges)
+    # Same edges in the same order as aug.graph, so its matching's edge
+    # indices carry over unchanged.
+    support = g0.with_added_edges([(u, v, heavy_weight) for u, v in aug.added_edges])
+    matching = Matching.from_edges(support, aug.matching.edges)
     tree = build_tree_containing_matching(support, matching)
     heavy = sum(1 for i in tree if support.edges[i][2] == heavy_weight)
     if heavy != aug.added_count:

@@ -46,6 +46,7 @@ from .graph import (
     EdgeSet,
     VertexCycle,
     WeightedGraph,
+    _tokenized_lines,
     as_bipartitioned_tree,
     bipartition_of,
     is_connected,
@@ -95,11 +96,7 @@ def parse_rotation(text: str, graph: WeightedGraph) -> RotationSystem:
     ``c`` comment lines; edge numbers refer to the graph file's e-line
     order (0-based)."""
     rows: dict[int, tuple[int, ...]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+    for lineno, parts in _tokenized_lines(text):
         if parts[0] != "r":
             raise GraphFormatError(f"expected an r line, got {parts[0]!r}", lineno)
         try:
@@ -225,12 +222,11 @@ def complete_with_weight_two(red: HcReduction) -> HcReduction:
     """Fill in every absent vertex pair at weight 2 (turning the host
     complete); idempotent."""
     g = red.graph
-    present = {(u, v) for u, v, _ in g.edges}
     filler = [
         (u, v, 2)
         for u in range(g.vertex_count)
         for v in range(u + 1, g.vertex_count)
-        if (u, v) not in present
+        if not g.has_edge(u, v)
     ]
     if not filler:
         return red if red.completed else replace(red, completed=True)
@@ -423,45 +419,40 @@ def parse_cnf_layout(text: str) -> CnfLayout:
     clauses: list[tuple[int, int, int]] = []
     sides: dict[int, str] = {}
     explicit_occ: dict[tuple[int, str], list[Occurrence]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if num_vars is not None:
-                raise GraphFormatError("second p line", lineno)
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise GraphFormatError("want: p cnf <vars> <clauses>", lineno)
-            num_vars, num_clauses = int(parts[2]), int(parts[3])
-        elif parts[0] == "l":
-            if len(parts) != 3 or parts[2] not in ("in", "out"):
-                raise GraphFormatError("want: l <clause> <in|out>", lineno)
-            sides[int(parts[1]) - 1] = parts[2]
-        elif parts[0] == "o":
-            if len(parts) < 3 or parts[2] not in ("in", "out"):
-                raise GraphFormatError("want: o <var> <in|out> <clause>:<slot>...", lineno)
-            occ: list[Occurrence] = []
-            for item in parts[3:]:
-                try:
+    for lineno, parts in _tokenized_lines(text):
+        kind = parts[0] if parts[0] in ("p", "l", "o") else "clause"
+        # int() and the <clause>:<slot> split are the only ValueErrors here.
+        try:
+            if kind == "p":
+                if num_vars is not None:
+                    raise GraphFormatError("second p line", lineno)
+                if len(parts) != 4 or parts[1] != "cnf":
+                    raise GraphFormatError("want: p cnf <vars> <clauses>", lineno)
+                num_vars, num_clauses = int(parts[2]), int(parts[3])
+            elif kind == "l":
+                if len(parts) != 3 or parts[2] not in ("in", "out"):
+                    raise GraphFormatError("want: l <clause> <in|out>", lineno)
+                sides[int(parts[1]) - 1] = parts[2]
+            elif kind == "o":
+                if len(parts) < 3 or parts[2] not in ("in", "out"):
+                    raise GraphFormatError("want: o <var> <in|out> <clause>:<slot>...", lineno)
+                occ: list[Occurrence] = []
+                for item in parts[3:]:
                     cs, ss = item.split(":")
                     occ.append((int(cs) - 1, int(ss) - 1))
-                except ValueError:
-                    raise GraphFormatError(f"bad occurrence {item!r}", lineno) from None
-            explicit_occ[(int(parts[1]) - 1, parts[2])] = occ
-        else:
-            if num_vars is None:
-                raise GraphFormatError("clause before the p line", lineno)
-            try:
+                explicit_occ[(int(parts[1]) - 1, parts[2])] = occ
+            else:
+                if num_vars is None:
+                    raise GraphFormatError("clause before the p line", lineno)
                 lits = [int(p) for p in parts]
-            except ValueError:
-                raise GraphFormatError("malformed clause line", lineno) from None
-            if not lits or lits[-1] != 0:
-                raise GraphFormatError("clause line must end with 0", lineno)
-            body = lits[:-1]
-            if len(body) != 3:
-                raise GraphFormatError(f"{len(body)} literals in a clause, want 3", lineno)
-            clauses.append((body[0], body[1], body[2]))
+                if lits[-1] != 0:
+                    raise GraphFormatError("clause line must end with 0", lineno)
+                body = lits[:-1]
+                if len(body) != 3:
+                    raise GraphFormatError(f"{len(body)} literals in a clause, want 3", lineno)
+                clauses.append((body[0], body[1], body[2]))
+        except ValueError as exc:
+            raise GraphFormatError(f"malformed {kind} line ({exc})", lineno) from None
     if num_vars is None:
         raise GraphFormatError("missing p line", 1)
     if num_clauses != len(clauses):
@@ -478,10 +469,6 @@ def parse_cnf_layout(text: str) -> CnfLayout:
     for (var0, side), occ in explicit_occ.items():
         if not 0 <= var0 < num_vars:
             raise BadLayoutError(f"occurrence line for unknown variable {var0 + 1}")
-        if sorted(occ) != sorted(occ_lists[side][var0]):
-            raise BadLayoutError(
-                f"occurrence list for variable {var0 + 1} ({side}) does not match the clauses"
-            )
         occ_lists[side][var0] = tuple(occ)
     return replace(
         layout,

@@ -13,7 +13,7 @@ import pytest
 import treematch
 from treematch import WeightedGraph, format_graph, parse_graph
 from treematch.cli import main
-from treematch.generate import complete, cube, default_rotation
+from treematch.generate import complete, cube, default_rotation, random_bipartite, random_graph
 from treematch.reductions import format_rotation
 
 REPORT_KEYS = {"status", "value", "edges", "certificate"}
@@ -191,8 +191,29 @@ OPTAUG_REPORT = """\
 
 # `gen random-cnf 3 4 1` and its `reduce sat-to-sbst` files, captured
 # before the gadget layout was rewritten; clauses 1 and 3 sit on the
-# "out" side, 2 and 4 on the "in" side.
+# "out" side, 2 and 4 on the "in" side.  The pmst_check_50 and
+# minpmst2_*.json reports below were captured before edge checking moved
+# out of parse_graph into WeightedGraph.
 GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "golden, g, argv",
+    [
+        ("pmst_check_50.json", random_graph(50, 0.08, seed=5), ["pmst-check"]),
+        ("minpmst2_complete_48.json", random_graph(48, 0.04, seed=3), ["minpmst2"]),
+        (
+            "minpmst2_bipartite_50.json",
+            random_bipartite(25, 25, 0.05, seed=4),
+            ["minpmst2", "--host", "bipartite"],
+        ),
+    ],
+)
+def test_exact_reports_on_seeded_graphs(tmp_path, capsys, golden, g, argv):
+    path = write_graph(tmp_path, "g.graph", g)
+    code, out, _ = run(capsys, [argv[0], path, *argv[1:]])
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
 
 
 class TestAug:
@@ -591,6 +612,16 @@ class TestExportDot:
         code, _, err = run(capsys, ["export-dot", path, "--tags", str(tags)])
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize("doc", ["{}", "5", '{"tags": 5}', '"ab"'])
+    def test_tags_document_of_the_wrong_shape(self, tmp_path, capsys, doc):
+        path = write_graph(tmp_path, "p2.graph", WeightedGraph(2, [(0, 1, 1)]))
+        tags = tmp_path / "tags.json"
+        tags.write_text(doc)
+        code, out, err = run(capsys, ["export-dot", path, "--tags", str(tags)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: tags must be a list")
 
 
 class TestPareser:

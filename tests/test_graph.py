@@ -161,6 +161,19 @@ class TestBipartitionedTree:
         assert t.bipartition.vertices_on(1) == (1, 3)
         assert t.degree == (1, 2, 2, 1)
         assert t.leaves_on(0) == (0,) and t.leaves_on(1) == (3,)
+        # Tree edges given out of index order, in a graph whose edge
+        # indices do not follow the path: adjacency is by ascending index.
+        g = WeightedGraph(5, [(2, 4, 1), (0, 3, 1), (1, 2, 1), (0, 4, 1), (0, 1, 1)])
+        t = as_bipartitioned_tree(g, [4, 2, 0, 1])
+        assert t.adjacency == (
+            ((1, 3), (4, 1)),
+            ((2, 2), (4, 0)),
+            ((0, 4), (2, 1)),
+            ((1, 0),),
+            ((0, 2),),
+        )
+        assert t.degree == (2, 2, 2, 1, 1)
+        assert t.bipartition.vertices_on(0) == (0, 2)
 
     def test_star_sides(self):
         g = WeightedGraph(4, [(0, 1, 1), (0, 2, 1), (0, 3, 1)])
@@ -263,6 +276,10 @@ class TestFileFormat:
             ("p 2 1\nx 0 1\n", 2),
             ("p 2 1\ne 0 one\n", 2),
             ("p 2 1\np 2 1\ne 0 1\n", 2),
+            # Several faults: a malformed line wins over an earlier bad
+            # edge, and the first bad edge wins over the edge count.
+            ("p 3 9\ne 0 0\ne 1 2\ne 0 7\ne 1 x\n", 5),
+            ("p 3 9\ne 1 2\ne 0 7\ne 0 0\n", 3),
         ],
     )
     def test_malformed_inputs_carry_line_numbers(self, text, line):

@@ -368,6 +368,19 @@ class TestCnfLayoutFiles:
         with pytest.raises(GraphFormatError):
             parse_cnf_layout(text)
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("p cnf x 1\n1 1 1 0\n", 1),
+            ("p cnf 1 1\n1 1 1 0\nl x in\n", 3),
+            ("p cnf 1 1\n1 1 1 0\nc note\no x in 1:1 1:2 1:3\n", 4),
+        ],
+    )
+    def test_non_integer_fields_name_their_line(self, text, line):
+        with pytest.raises(GraphFormatError) as ei:
+            parse_cnf_layout(text)
+        assert ei.value.line == line
+
     def test_side_line_for_unknown_clause(self):
         with pytest.raises(BadLayoutError):
             parse_cnf_layout("p cnf 1 1\n1 1 1 0\nl 2 out\n")
