@@ -27,6 +27,7 @@ from .errors import (
 from .graph import WeightedGraph, as_bipartitioned_tree, format_graph, parse_graph
 from .matching import tree_perfect_matching
 from .oracle import (
+    DEFAULT_TREE_CAP,
     brute_force_min_pmst,
     brute_force_min_sbst,
     brute_force_opt_aug,
@@ -484,12 +485,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = osub.add_parser("minpmst")
     p.add_argument("graph")
-    p.add_argument("--cap", type=int, default=10_000_000)
+    p.add_argument(
+        "--cap",
+        type=int,
+        default=DEFAULT_TREE_CAP,
+        help="fail when more than CAP spanning trees contain a perfect matching "
+        f"(default {DEFAULT_TREE_CAP})",
+    )
     p.set_defaults(func=_cmd_oracle)
 
     p = osub.add_parser("minsbst")
     p.add_argument("graph")
-    p.add_argument("--cap", type=int, default=10_000_000)
+    p.add_argument(
+        "--cap",
+        type=int,
+        default=DEFAULT_TREE_CAP,
+        help="fail when the graph has more than CAP spanning trees; ignored on "
+        f"graphs of maximum degree at most three (default {DEFAULT_TREE_CAP})",
+    )
     p.set_defaults(func=_cmd_oracle)
 
     p = osub.add_parser("optaug")

@@ -7,6 +7,11 @@ branch and bound over candidate edge sets, and SAT by assignment scan.
 Tests freeze values computed by these routines and compare the fast paths
 against them.
 
+The minimum tree containing a perfect matching is found matching first:
+a tree contains at most one perfect matching M, so every candidate tree
+is enumerated exactly once, as a spanning tree of G with M contracted,
+and trees without a perfect matching are never built.
+
 The one concession to scale is ``sb_tree_search``, a pruned backtracking
 search over edge in/out decisions used when plain enumeration cannot
 finish.  Its pruning rules only ever discard spanning trees that are not
@@ -16,7 +21,7 @@ strongly balanced, so its optima agree with plain enumeration.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DisconnectedError,
@@ -35,31 +40,30 @@ DEFAULT_NODE_CAP = 20_000_000
 # Spanning-tree enumeration
 
 
-def enumerate_spanning_trees(
-    g: WeightedGraph,
-    visit: Callable[[tuple[int, ...]], None] | None = None,
-    cap: int = DEFAULT_TREE_CAP,
-) -> int:
-    """Visit every spanning tree of g (as a sorted tuple of edge indices)
-    and return their number.
+def _check_cap(cap: int) -> None:
+    if cap < 0:
+        raise ValueError(f"tree cap must be non-negative, got {cap}")
 
-    Trees are produced in lexicographic order of their index tuples.  Each
-    descent takes, in index order, every edge that joins two components;
+
+def _spanning_trees(
+    n: int, ends_u: Sequence[int], ends_v: Sequence[int]
+) -> Iterator[list[int]]:
+    """Every spanning tree of the connected multigraph on ``0 .. n - 1``
+    whose edge i joins ``ends_u[i]`` and ``ends_v[i]``, as the ascending
+    list of its edge indices.  The same list object is yielded each time
+    and changes on resumption; copy what must outlive the step.
+
+    Trees come in lexicographic order of their index lists.  Each descent
+    takes, in index order, every edge that joins two components;
     backtracking drops the last chosen edge and resumes after it only when
     the chosen edges plus the later ones still span, so every descent ends
-    in a tree.  Raises TruncatedError past ``cap`` trees and
-    DisconnectedError when no spanning tree exists.
+    in a tree.
     """
-    n, m = g.vertex_count, g.edge_count
-    if not is_connected(g):
-        raise DisconnectedError("graph has no spanning tree")
-    ends_u = [e[0] for e in g.edges]
-    ends_v = [e[1] for e in g.edges]
+    m = len(ends_u)
     parent = list(range(n))
     size = [1] * n
     chosen: list[int] = []
     absorbed: list[int] = []  # the root each chosen edge hung below another
-    count = 0
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -78,11 +82,7 @@ def enumerate_spanning_trees(
                 chosen.append(i)
                 absorbed.append(rv)
             i += 1
-        count += 1
-        if count > cap:
-            raise TruncatedError(f"more than {cap} spanning trees")
-        if visit is not None:
-            visit(tuple(chosen))
+        yield chosen
         while chosen:
             j = chosen.pop()
             rv = absorbed.pop()
@@ -106,7 +106,34 @@ def enumerate_spanning_trees(
                 i = j + 1
                 break
         else:
-            return count
+            return
+
+
+def enumerate_spanning_trees(
+    g: WeightedGraph,
+    visit: Callable[[tuple[int, ...]], None] | None = None,
+    cap: int = DEFAULT_TREE_CAP,
+) -> int:
+    """Visit every spanning tree of g (as a sorted tuple of edge indices)
+    and return their number.
+
+    Trees are produced in lexicographic order of their index tuples.
+    Raises TruncatedError past ``cap`` trees, ValueError for a negative
+    ``cap`` and DisconnectedError when no spanning tree exists.
+    """
+    _check_cap(cap)
+    if not is_connected(g):
+        raise DisconnectedError("graph has no spanning tree")
+    count = 0
+    for tree in _spanning_trees(
+        g.vertex_count, [e[0] for e in g.edges], [e[1] for e in g.edges]
+    ):
+        count += 1
+        if count > cap:
+            raise TruncatedError(f"more than {cap} spanning trees")
+        if visit is not None:
+            visit(tuple(tree))
+    return count
 
 
 def spanning_tree_count_determinant(g: WeightedGraph) -> int:
@@ -146,29 +173,6 @@ def spanning_tree_count_determinant(g: WeightedGraph) -> int:
 # production modules)
 
 
-def _tree_has_perfect_matching(adj: list[list[int]]) -> bool:
-    n = len(adj)
-    deg = [len(nbrs) for nbrs in adj]
-    alive = [True] * n
-    stack = [v for v in range(n) if deg[v] == 1]
-    removed = 0
-    while stack:
-        leaf = stack.pop()
-        if not alive[leaf] or deg[leaf] != 1:
-            continue
-        partner = next((w for w in adj[leaf] if alive[w]), None)
-        if partner is None:
-            return False
-        alive[leaf] = alive[partner] = False
-        removed += 2
-        for w in adj[partner]:
-            if alive[w]:
-                deg[w] -= 1
-                if deg[w] == 1:
-                    stack.append(w)
-    return removed == n
-
-
 def _tree_is_strongly_balanced(adj: list[list[int]]) -> bool:
     """One side of the tree's bipartition has exactly one leaf and all its
     other vertices have degree two."""
@@ -199,45 +203,93 @@ def _tree_is_strongly_balanced(adj: list[list[int]]) -> bool:
     return False
 
 
-def _lightest_tree(
-    g: WeightedGraph, accept: Callable[[list[list[int]]], bool], cap: int
-) -> tuple[EdgeSet, int] | None:
-    """Lightest spanning tree whose adjacency lists pass ``accept``, or
-    None; ties go to the first tree enumerated."""
-    n = g.vertex_count
-    best: tuple[EdgeSet, int] | None = None
-
-    def look(tree: tuple[int, ...]) -> None:
-        nonlocal best
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for i in tree:
-            u, v, _ = g.edges[i]
-            adj[u].append(v)
-            adj[v].append(u)
-        if not accept(adj):
-            return
-        w = sum(g.edges[i][2] for i in tree)
-        if best is None or w < best[1]:
-            best = (frozenset(tree), w)
-
-    enumerate_spanning_trees(g, look, cap)
-    return best
-
-
 # ---------------------------------------------------------------------------
 # PMST oracle
+
+
+def _perfect_matchings(g: WeightedGraph) -> Iterator[list[int]]:
+    """Every perfect matching of g, as the list of its edge indices in
+    the order their lower ends ascend.  The smallest unmatched vertex takes
+    each free neighbour in turn.  The same list object is yielded each
+    time and changes on resumption."""
+    n, adj, edges = g.vertex_count, g.adjacency, g.edges
+    matched = [False] * n
+    chosen: list[int] = []
+    resume: list[int] = []  # per chosen edge: where its lower end's scan goes on
+    v = k = 0
+    while True:
+        nbrs = adj[v]
+        while k < len(nbrs) and matched[nbrs[k][1]]:
+            k += 1
+        if k < len(nbrs):
+            e, w = nbrs[k]
+            matched[v] = matched[w] = True
+            chosen.append(e)
+            resume.append(k + 1)
+            while v < n and matched[v]:
+                v += 1
+            if v < n:
+                k = 0
+                continue
+            yield chosen
+        if not chosen:
+            return
+        v, w, _ = edges[chosen.pop()]
+        matched[v] = matched[w] = False
+        k = resume.pop()
 
 
 def brute_force_min_pmst(
     g: WeightedGraph, cap: int = DEFAULT_TREE_CAP
 ) -> tuple[EdgeSet, int] | None:
-    """Minimum-weight spanning tree containing a perfect matching, by
-    checking every spanning tree.  None when no tree has one, at once
-    when the order is odd; DisconnectedError when g has no spanning
-    tree."""
-    if g.vertex_count % 2 and is_connected(g):
+    """Minimum-weight spanning tree containing a perfect matching, or
+    None when no tree has one.
+
+    For each perfect matching M, every spanning tree of g/M (the M-edges
+    contracted, the other edges kept, parallel or not) is one spanning
+    tree of g through M, and no tree contains two perfect matchings, so
+    every candidate tree is visited exactly once.  Ties go to the tree
+    whose sorted edge-index tuple is smallest, which is the first of them
+    in the lexicographic order of ``enumerate_spanning_trees``.
+
+    ``cap`` counts the trees that contain a perfect matching; one more
+    raises TruncatedError, and a negative cap raises ValueError.  Odd
+    order and the absence of a perfect matching give None without
+    visiting a tree; DisconnectedError when g has no spanning tree.
+    """
+    _check_cap(cap)
+    if not is_connected(g):
+        raise DisconnectedError("graph has no spanning tree")
+    n, m, edges = g.vertex_count, g.edge_count, g.edges
+    if n % 2:
         return None
-    return _lightest_tree(g, _tree_has_perfect_matching, cap)
+    block = [0] * n  # the contracted vertex each vertex belongs to
+    count = best_w = 0
+    best: tuple[int, ...] | None = None
+    for matching in _perfect_matchings(g):
+        for k, e in enumerate(matching):
+            u, v, _ = edges[e]
+            block[u] = block[v] = k
+        base = sum(edges[e][2] for e in matching)
+        taken = set(matching)
+        rest = [i for i in range(m) if i not in taken]
+        rest_w = [edges[i][2] for i in rest]
+        for tree in _spanning_trees(
+            n // 2, [block[edges[i][0]] for i in rest], [block[edges[i][1]] for i in rest]
+        ):
+            count += 1
+            if count > cap:
+                raise TruncatedError(
+                    f"more than {cap} spanning trees contain a perfect matching"
+                )
+            w = base
+            for i in tree:
+                w += rest_w[i]
+            if best is None or w <= best_w:
+                key = tuple(sorted(matching + [rest[i] for i in tree]))
+                if best is None or w < best_w or key < best:
+                    best_w, best = w, key
+    return None if best is None else (frozenset(best), best_w)
 
 
 # ---------------------------------------------------------------------------
@@ -591,11 +643,30 @@ def brute_force_min_sbst(
     the pruned search ignores it and stops at its own node cap,
     ``DEFAULT_NODE_CAP``.
     """
+    _check_cap(cap)
     if not is_connected(g):
         return None
     if max((g.degree(v) for v in range(g.vertex_count)), default=0) <= 3:
         return sb_tree_search(g, find_min=True)
-    return _lightest_tree(g, _tree_is_strongly_balanced, cap)
+    n = g.vertex_count
+    best: tuple[EdgeSet, int] | None = None
+
+    def look(tree: tuple[int, ...]) -> None:
+        # Ties go to the first tree enumerated.
+        nonlocal best
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for i in tree:
+            u, v, _ = g.edges[i]
+            adj[u].append(v)
+            adj[v].append(u)
+        if not _tree_is_strongly_balanced(adj):
+            return
+        w = sum(g.edges[i][2] for i in tree)
+        if best is None or w < best[1]:
+            best = (frozenset(tree), w)
+
+    enumerate_spanning_trees(g, look, cap)
+    return best
 
 
 def brute_force_sbst_exists(

@@ -1,6 +1,6 @@
 """Shared test utilities: mask-indexed small graphs, Prüfer decoding,
-seeded random instance builders, and the reference matroid-intersection
-search used across the suite."""
+seeded random instance builders, and the reference minimum-PMST and
+matroid-intersection searches used across the suite."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from itertools import combinations
 from math import inf
 
 from treematch import WeightedGraph
+from treematch.oracle import enumerate_spanning_trees
 
 
 def pairs_of(n: int) -> list[tuple[int, int]]:
@@ -219,3 +220,47 @@ def _reference_shortest_paths(out, start):
             elif nd == dist[d] and s < pred[d]:
                 pred[d] = s
     return dist, pred
+
+
+def tree_has_perfect_matching(g: WeightedGraph, tree) -> bool:
+    """Strip leaves with their neighbours; a tree has a perfect matching
+    exactly when this removes every vertex."""
+    n = g.vertex_count
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for i in tree:
+        u, v, _ = g.edges[i]
+        adj[u].add(v)
+        adj[v].add(u)
+    alive = set(range(n))
+    leaves = [v for v in range(n) if len(adj[v]) == 1]
+    while leaves:
+        leaf = leaves.pop()
+        if leaf not in alive or len(adj[leaf]) != 1:
+            continue
+        (partner,) = adj[leaf]
+        alive -= {leaf, partner}
+        for w in adj[partner] - {leaf}:
+            adj[w].discard(partner)
+            if len(adj[w]) == 1:
+                leaves.append(w)
+    return not alive
+
+
+def reference_min_pmst(g: WeightedGraph):
+    """``brute_force_min_pmst`` as full enumeration filtered by a tree
+    matching test: the minimum over (weight, sorted edge-index tuple) of
+    every spanning tree with a perfect matching, and the number of such
+    trees.  The tree is None when there is none."""
+    best = None
+    count = 0
+
+    def look(tree):
+        nonlocal best, count
+        if tree_has_perfect_matching(g, tree):
+            count += 1
+            key = (sum(g.edges[i][2] for i in tree), tree)
+            if best is None or key < best:
+                best = key
+
+    enumerate_spanning_trees(g, look)
+    return (None if best is None else (frozenset(best[1]), best[0])), count

@@ -537,6 +537,14 @@ class TestOracleCommands:
         assert code == 0
         assert out == WHEEL_ORACLE_REPORT
 
+    @pytest.mark.parametrize("which", ["minpmst", "minsbst"])
+    def test_negative_cap_is_an_input_error(self, tmp_path, capsys, which):
+        path = write_graph(tmp_path, "k4.graph", complete(4))
+        code, out, err = run(capsys, ["oracle", which, path, "--cap", "-1"])
+        assert code == 1
+        assert out == ""
+        assert err == "error: tree cap must be non-negative, got -1\n"
+
     def test_minsbst_exact_report(self, tmp_path, capsys):
         # The hub has degree five, so this goes through plain enumeration.
         path = write_graph(tmp_path, "wheel.graph", WHEEL_GRAPH)

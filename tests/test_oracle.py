@@ -16,6 +16,7 @@ from treematch import (
     as_bipartitioned_tree,
     augmentation_optimum,
     deficiency_profile,
+    is_connected,
     is_strongly_balanced,
 )
 from treematch.generate import complete, cube, cycle, petersen
@@ -31,7 +32,13 @@ from treematch.oracle import (
     spanning_tree_count_determinant,
 )
 
-from helpers import random_connected_bipartite, random_subcubic
+from helpers import (
+    graph_from_mask,
+    pairs_of,
+    random_connected_bipartite,
+    random_subcubic,
+    reference_min_pmst,
+)
 
 
 def connected_random(rng, n, extra):
@@ -191,6 +198,61 @@ class TestBruteForceMinPmst:
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedError):
             brute_force_min_pmst(WeightedGraph(4, [(0, 1, 1), (2, 3, 1)]))
+
+    def test_equals_filtered_enumeration_on_all_small_graphs(self):
+        # Every connected labelled graph on 2, 4 and 6 vertices (26,743
+        # graphs), weights drawn per graph so that ties occur.
+        rng = random.Random(811)
+        checked = 0
+        for n in (2, 4, 6):
+            pairs = pairs_of(n)
+            for mask in range(1 << len(pairs)):
+                shape = graph_from_mask(n, mask, pairs)
+                if not is_connected(shape):
+                    continue
+                g = WeightedGraph(n, [(u, v, rng.randint(-2, 3)) for u, v, _ in shape.edges])
+                want, _ = reference_min_pmst(g)
+                assert brute_force_min_pmst(g) == want, (n, mask)
+                checked += 1
+        assert checked == 26743
+
+    def test_equals_filtered_enumeration_on_seeded_larger_graphs(self):
+        # 300 graphs on 7 or 8 vertices; every other one has two weights
+        # only, so that many trees tie for the minimum.
+        rng = random.Random(812)
+        for trial in range(300):
+            n = rng.choice((7, 8))
+            g = connected_random(rng, n, rng.randrange(0, 12))
+            if trial % 2:
+                g = WeightedGraph(n, [(u, v, rng.choice((1, 2))) for u, v, _ in g.edges])
+            want, _ = reference_min_pmst(g)
+            assert brute_force_min_pmst(g) == want, trial
+
+    @pytest.mark.parametrize(
+        "g", [complete(4), complete(6), cube(), petersen()], ids=["K4", "K6", "cube", "petersen"]
+    )
+    def test_cap_counts_trees_with_a_perfect_matching(self, g):
+        _, n_trees = reference_min_pmst(g)
+        assert 0 < n_trees < enumerate_spanning_trees(g)
+        assert brute_force_min_pmst(g, cap=n_trees) is not None
+        with pytest.raises(TruncatedError):
+            brute_force_min_pmst(g, cap=n_trees - 1)
+
+    def test_no_perfect_matching_answers_before_enumerating(self):
+        g = WeightedGraph(6, [(0, v, 1) for v in range(1, 6)] + [(1, 2, 1)])
+        assert brute_force_min_pmst(g, cap=0) is None
+
+    def test_negative_cap_rejected(self):
+        for call in (brute_force_min_pmst, brute_force_min_sbst, enumerate_spanning_trees):
+            with pytest.raises(ValueError, match="-1"):
+                call(complete(4), cap=-1)
+
+    def test_long_path_leaves_recursion_limit_alone(self):
+        n = 3000
+        g = WeightedGraph(n, [(v, v + 1, 1) for v in range(n - 1)])
+        limit = sys.getrecursionlimit()
+        assert brute_force_min_pmst(g) == (frozenset(range(n - 1)), n - 1)
+        assert sys.getrecursionlimit() == limit
 
 
 class TestSbTreeSearch:
