@@ -353,6 +353,7 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     lines = ["graph treematch {", "  node [shape=circle];"]
     for v in range(g.vertex_count):
         label = f"{v}: {tags[v]}" if tags else str(v)
+        label = label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  {v} [label="{label}"];')
     for u, v, w in g.edges:
         style = ", style=bold, penwidth=2" if overlay is not None and overlay.has_edge(u, v) else ""
@@ -483,27 +484,21 @@ def build_parser() -> argparse.ArgumentParser:
     oracle_p = sub.add_parser("oracle", help="exhaustive brute-force reference answers")
     osub = oracle_p.add_subparsers(dest="which", required=True)
 
-    p = osub.add_parser("minpmst")
-    p.add_argument("graph")
-    p.add_argument(
-        "--cap",
-        type=int,
-        default=DEFAULT_TREE_CAP,
-        help="fail when more than CAP spanning trees contain a perfect matching "
-        f"(default {DEFAULT_TREE_CAP})",
-    )
-    p.set_defaults(func=_cmd_oracle)
-
-    p = osub.add_parser("minsbst")
-    p.add_argument("graph")
-    p.add_argument(
-        "--cap",
-        type=int,
-        default=DEFAULT_TREE_CAP,
-        help="fail when the graph has more than CAP spanning trees; ignored on "
-        f"graphs of maximum degree at most three (default {DEFAULT_TREE_CAP})",
-    )
-    p.set_defaults(func=_cmd_oracle)
+    for which, note in (
+        ("minpmst", ""),
+        ("minsbst", "; graphs of maximum degree at most three use the pruned "
+         "search's node cap instead"),
+    ):
+        p = osub.add_parser(which)
+        p.add_argument("graph")
+        p.add_argument(
+            "--cap",
+            type=int,
+            default=DEFAULT_TREE_CAP,
+            help="fail when more than CAP spanning trees contain a perfect matching"
+            f"{note} (default {DEFAULT_TREE_CAP})",
+        )
+        p.set_defaults(func=_cmd_oracle)
 
     p = osub.add_parser("optaug")
     p.add_argument("graph")

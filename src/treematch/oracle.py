@@ -7,15 +7,19 @@ branch and bound over candidate edge sets, and SAT by assignment scan.
 Tests freeze values computed by these routines and compare the fast paths
 against them.
 
-The minimum tree containing a perfect matching is found matching first:
-a tree contains at most one perfect matching M, so every candidate tree
-is enumerated exactly once, as a spanning tree of G with M contracted,
-and trees without a perfect matching are never built.
+Both minimum-tree oracles enumerate matching first: a tree contains at
+most one perfect matching M, so every candidate tree is built exactly
+once, as a spanning tree of G with M contracted, and trees without a
+perfect matching are never built.  A strongly balanced tree contains a
+perfect matching, so the SBST oracle filters the same trees by a degree
+test on one side of the bipartition.  In both, ``cap`` counts the trees
+that contain a perfect matching, and among trees of equal weight the one
+with the smallest sorted edge-index tuple wins.
 
 The one concession to scale is ``sb_tree_search``, a pruned backtracking
-search over edge in/out decisions used when plain enumeration cannot
-finish.  Its pruning rules only ever discard spanning trees that are not
-strongly balanced, so its optima agree with plain enumeration.
+search over edge in/out decisions, used for graphs of maximum degree at
+most three.  Its pruning rules only ever discard spanning trees that are
+not strongly balanced, so its optima agree with enumeration.
 """
 
 from __future__ import annotations
@@ -169,41 +173,6 @@ def spanning_tree_count_determinant(g: WeightedGraph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Tree predicates (local, array-based; deliberately not shared with the
-# production modules)
-
-
-def _tree_is_strongly_balanced(adj: list[list[int]]) -> bool:
-    """One side of the tree's bipartition has exactly one leaf and all its
-    other vertices have degree two."""
-    n = len(adj)
-    deg = [len(nbrs) for nbrs in adj]
-    side = [-1] * n
-    side[0] = 0
-    queue = deque([0])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if side[y] == -1:
-                side[y] = side[x] ^ 1
-                queue.append(y)
-    for s in (0, 1):
-        leaves = 0
-        ok = True
-        for v in range(n):
-            if side[v] != s:
-                continue
-            if deg[v] == 1:
-                leaves += 1
-            elif deg[v] != 2:
-                ok = False
-                break
-        if ok and leaves == 1:
-            return True
-    return False
-
-
-# ---------------------------------------------------------------------------
 # PMST oracle
 
 
@@ -239,27 +208,19 @@ def _perfect_matchings(g: WeightedGraph) -> Iterator[list[int]]:
         k = resume.pop()
 
 
-def brute_force_min_pmst(
-    g: WeightedGraph, cap: int = DEFAULT_TREE_CAP
+def _min_matched_tree(
+    g: WeightedGraph,
+    cap: int,
+    accept: Callable[[tuple[int, ...]], bool] | None = None,
 ) -> tuple[EdgeSet, int] | None:
-    """Minimum-weight spanning tree containing a perfect matching, or
-    None when no tree has one.
-
-    For each perfect matching M, every spanning tree of g/M (the M-edges
-    contracted, the other edges kept, parallel or not) is one spanning
-    tree of g through M, and no tree contains two perfect matchings, so
-    every candidate tree is visited exactly once.  Ties go to the tree
-    whose sorted edge-index tuple is smallest, which is the first of them
-    in the lexicographic order of ``enumerate_spanning_trees``.
-
-    ``cap`` counts the trees that contain a perfect matching; one more
-    raises TruncatedError, and a negative cap raises ValueError.  Odd
-    order and the absence of a perfect matching give None without
-    visiting a tree; DisconnectedError when g has no spanning tree.
+    """The minimum over (weight, sorted edge-index tuple) of the spanning
+    trees of the connected graph g that contain a perfect matching and
+    pass ``accept``, or None.  Each spanning tree of g/M (the M-edges
+    contracted, the other edges kept, parallel or not) is one tree of g
+    through the perfect matching M, and no tree contains two, so each tree
+    is built once.  ``accept`` sees only a tree that would become the new
+    best.  Past ``cap`` trees built, TruncatedError.
     """
-    _check_cap(cap)
-    if not is_connected(g):
-        raise DisconnectedError("graph has no spanning tree")
     n, m, edges = g.vertex_count, g.edge_count, g.edges
     if n % 2:
         return None
@@ -288,8 +249,27 @@ def brute_force_min_pmst(
             if best is None or w <= best_w:
                 key = tuple(sorted(matching + [rest[i] for i in tree]))
                 if best is None or w < best_w or key < best:
-                    best_w, best = w, key
+                    if accept is None or accept(key):
+                        best_w, best = w, key
     return None if best is None else (frozenset(best), best_w)
+
+
+def brute_force_min_pmst(
+    g: WeightedGraph, cap: int = DEFAULT_TREE_CAP
+) -> tuple[EdgeSet, int] | None:
+    """Minimum-weight spanning tree containing a perfect matching, or
+    None when no tree has one.  Ties go to the smallest sorted edge-index
+    tuple, the first tree in ``enumerate_spanning_trees`` order.
+
+    ``cap`` counts the trees that contain a perfect matching; one more
+    raises TruncatedError, and a negative cap raises ValueError.  Odd
+    order and the absence of a perfect matching give None without
+    building a tree; DisconnectedError when g has no spanning tree.
+    """
+    _check_cap(cap)
+    if not is_connected(g):
+        raise DisconnectedError("graph has no spanning tree")
+    return _min_matched_tree(g, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -632,41 +612,51 @@ def sb_tree_search(
     return _SbSearch(g, node_cap).run(find_min)
 
 
+def _matched_tree_is_strongly_balanced(g: WeightedGraph, tree: tuple[int, ...]) -> bool:
+    """Strong balance of a spanning tree that contains a perfect matching.
+    Each matching edge has one end on each side of the tree's bipartition,
+    so each side has n/2 vertices whose tree-degrees sum to n - 1, and a
+    side without a vertex of degree three or more has exactly one leaf."""
+    n = g.vertex_count
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i in tree:
+        u, v, _ = g.edges[i]
+        adj[u].append(v)
+        adj[v].append(u)
+    side = [-1] * n
+    side[0] = 0
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if side[y] < 0:
+                side[y] = side[x] ^ 1
+                stack.append(y)
+    return len({side[v] for v in range(n) if len(adj[v]) >= 3}) < 2
+
+
 def brute_force_min_sbst(
     g: WeightedGraph, cap: int = DEFAULT_TREE_CAP
 ) -> tuple[EdgeSet, int] | None:
     """Minimum-weight strongly balanced spanning tree, or None.
 
-    Plain enumeration does the work; graphs of maximum degree three go
-    through the pruned search instead, which reaches sizes where plain
-    enumeration would be hopeless.  ``cap`` bounds only the enumeration:
-    the pruned search ignores it and stops at its own node cap,
-    ``DEFAULT_NODE_CAP``.
+    A strongly balanced tree contains a perfect matching, so the candidates
+    are the trees ``brute_force_min_pmst`` builds; one that would become
+    the new best is kept when one side of its bipartition has no vertex of
+    tree-degree three or more.  Ties go to the smallest sorted edge-index
+    tuple.  ``cap`` counts the trees that contain a perfect matching; odd
+    order and the absence of a perfect matching give None at once.
+
+    Graphs of maximum degree at most three go to the pruned search
+    instead, which reaches sizes where enumeration would be hopeless; it
+    ignores ``cap`` and stops at its own node cap, ``DEFAULT_NODE_CAP``.
     """
     _check_cap(cap)
     if not is_connected(g):
         return None
     if max((g.degree(v) for v in range(g.vertex_count)), default=0) <= 3:
         return sb_tree_search(g, find_min=True)
-    n = g.vertex_count
-    best: tuple[EdgeSet, int] | None = None
-
-    def look(tree: tuple[int, ...]) -> None:
-        # Ties go to the first tree enumerated.
-        nonlocal best
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for i in tree:
-            u, v, _ = g.edges[i]
-            adj[u].append(v)
-            adj[v].append(u)
-        if not _tree_is_strongly_balanced(adj):
-            return
-        w = sum(g.edges[i][2] for i in tree)
-        if best is None or w < best[1]:
-            best = (frozenset(tree), w)
-
-    enumerate_spanning_trees(g, look, cap)
-    return best
+    return _min_matched_tree(g, cap, lambda tree: _matched_tree_is_strongly_balanced(g, tree))
 
 
 def brute_force_sbst_exists(

@@ -1,6 +1,6 @@
 """Shared test utilities: mask-indexed small graphs, Prüfer decoding,
-seeded random instance builders, and the reference minimum-PMST and
-matroid-intersection searches used across the suite."""
+seeded random instance builders, and the reference minimum-PMST,
+minimum-SBST and matroid-intersection searches used across the suite."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from collections import deque
 from itertools import combinations
 from math import inf
 
-from treematch import WeightedGraph
+from treematch import WeightedGraph, as_bipartitioned_tree, is_strongly_balanced
 from treematch.oracle import enumerate_spanning_trees
 
 
@@ -43,6 +43,10 @@ def prufer_tree(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
     u, v = (v for v in range(n) if deg[v] == 1)
     edges.append((u, v))
     return edges
+
+
+def max_degree(g: WeightedGraph) -> int:
+    return max((g.degree(v) for v in range(g.vertex_count)), default=0)
 
 
 def random_tree_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:
@@ -246,11 +250,13 @@ def tree_has_perfect_matching(g: WeightedGraph, tree) -> bool:
     return not alive
 
 
-def reference_min_pmst(g: WeightedGraph):
+def reference_min_pmst(g: WeightedGraph, accept=None):
     """``brute_force_min_pmst`` as full enumeration filtered by a tree
     matching test: the minimum over (weight, sorted edge-index tuple) of
-    every spanning tree with a perfect matching, and the number of such
-    trees.  The tree is None when there is none."""
+    every spanning tree with a perfect matching that passes ``accept``
+    (asked only about a tree that would improve the best key), and the
+    number of trees with a perfect matching.  The tree is None when there
+    is none."""
     best = None
     count = 0
 
@@ -259,8 +265,19 @@ def reference_min_pmst(g: WeightedGraph):
         if tree_has_perfect_matching(g, tree):
             count += 1
             key = (sum(g.edges[i][2] for i in tree), tree)
-            if best is None or key < best:
+            if (best is None or key < best) and (accept is None or accept(tree)):
                 best = key
 
     enumerate_spanning_trees(g, look)
     return (None if best is None else (frozenset(best[1]), best[0])), count
+
+
+def strongly_balanced(g: WeightedGraph, tree) -> bool:
+    """The production recognizer's verdict on a spanning tree of g."""
+    return is_strongly_balanced(as_bipartitioned_tree(g, frozenset(tree))) is not None
+
+
+def reference_min_sbst(g: WeightedGraph):
+    """``brute_force_min_sbst`` on the same reference: the trees with a
+    perfect matching, filtered by the production recognizer."""
+    return reference_min_pmst(g, lambda tree: strongly_balanced(g, tree))

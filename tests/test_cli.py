@@ -16,6 +16,8 @@ from treematch.cli import main
 from treematch.generate import complete, cube, default_rotation, random_bipartite, random_graph
 from treematch.reductions import format_rotation
 
+from helpers import reference_min_pmst
+
 REPORT_KEYS = {"status", "value", "edges", "certificate"}
 
 
@@ -545,8 +547,22 @@ class TestOracleCommands:
         assert out == ""
         assert err == "error: tree cap must be non-negative, got -1\n"
 
+    def test_minsbst_cap_counts_trees_with_a_perfect_matching(self, tmp_path, capsys):
+        # K6 is dense, so the cap counts the trees with a perfect matching
+        # that the matching-first route builds, not all 1296 trees.
+        path = write_graph(tmp_path, "k6.graph", complete(6))
+        _, n_trees = reference_min_pmst(complete(6))
+        code, out, err = run(capsys, ["oracle", "minsbst", path, "--cap", str(n_trees - 1)])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: more than {n_trees - 1} spanning trees contain a perfect matching\n"
+        code, out, _ = run(capsys, ["oracle", "minsbst", path, "--cap", str(n_trees)])
+        assert code == 0
+        assert report(out)["value"] == 5
+
     def test_minsbst_exact_report(self, tmp_path, capsys):
-        # The hub has degree five, so this goes through plain enumeration.
+        # The hub has degree five, so this goes through the matching-first
+        # route.
         path = write_graph(tmp_path, "wheel.graph", WHEEL_GRAPH)
         code, out, _ = run(capsys, ["oracle", "minsbst", path])
         assert code == 0
@@ -612,6 +628,21 @@ class TestExportDot:
         )
         assert code == 0
         assert 'label="8: x1"' in out
+
+    def test_tag_quotes_and_backslashes_are_escaped(self, tmp_path, capsys):
+        path = write_graph(tmp_path, "p2.graph", WeightedGraph(2, [(0, 1, 5)]))
+        tags = tmp_path / "tags.json"
+        tags.write_text(json.dumps({"tags": ['a"b', "c\\"]}))
+        code, out, _ = run(capsys, ["export-dot", path, "--tags", str(tags)])
+        assert code == 0
+        assert out == (
+            "graph treematch {\n"
+            "  node [shape=circle];\n"
+            '  0 [label="0: a\\"b"];\n'
+            '  1 [label="1: c\\\\"];\n'
+            '  0 -- 1 [label="5"];\n'
+            "}\n"
+        )
 
     def test_tag_count_mismatch(self, tmp_path, capsys):
         path = write_graph(tmp_path, "p2.graph", WeightedGraph(2, [(0, 1, 1)]))

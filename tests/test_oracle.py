@@ -34,10 +34,13 @@ from treematch.oracle import (
 
 from helpers import (
     graph_from_mask,
+    max_degree,
     pairs_of,
     random_connected_bipartite,
     random_subcubic,
     reference_min_pmst,
+    reference_min_sbst,
+    strongly_balanced,
 )
 
 
@@ -201,9 +204,11 @@ class TestBruteForceMinPmst:
 
     def test_equals_filtered_enumeration_on_all_small_graphs(self):
         # Every connected labelled graph on 2, 4 and 6 vertices (26,743
-        # graphs), weights drawn per graph so that ties occur.
+        # graphs), weights drawn per graph so that ties occur.  Those with
+        # a vertex of degree four or more also check the SBST oracle's
+        # matching-first route.
         rng = random.Random(811)
-        checked = 0
+        checked = dense = 0
         for n in (2, 4, 6):
             pairs = pairs_of(n)
             for mask in range(1 << len(pairs)):
@@ -214,7 +219,15 @@ class TestBruteForceMinPmst:
                 want, _ = reference_min_pmst(g)
                 assert brute_force_min_pmst(g) == want, (n, mask)
                 checked += 1
+                if max_degree(g) >= 4:
+                    # The least tree with a perfect matching is also the
+                    # least strongly balanced one when it is one itself.
+                    if want is not None and not strongly_balanced(g, want[0]):
+                        want, _ = reference_min_sbst(g)
+                    assert brute_force_min_sbst(g) == want, (n, mask)
+                    dense += 1
         assert checked == 26743
+        assert dense == 19164
 
     def test_equals_filtered_enumeration_on_seeded_larger_graphs(self):
         # 300 graphs on 7 or 8 vertices; every other one has two weights
@@ -336,13 +349,52 @@ class TestBruteForceMinSbst:
 
     def test_subcubic_dispatch_matches_dense_route(self):
         # Same instance through both code paths: the cube is subcubic, and
-        # adding one chord pushes it onto plain enumeration.
+        # adding two chords at vertex 0 pushes it onto the matching-first
+        # route.
         q = cube()
         chorded = q.with_added_edges([(0, 3, 100), (0, 6, 100)])
         a = brute_force_min_sbst(q)
         b = brute_force_min_sbst(chorded)
         assert a is not None and b is not None
         assert a[1] == b[1] == 7
+
+    def test_equals_filtered_enumeration_on_seeded_dense_graphs(self):
+        # 300 graphs on 7 to 10 vertices with a vertex of degree four or
+        # more; every other one has two weights only, so that ties occur.
+        rng = random.Random(813)
+        trial = feasible = filtered = 0
+        while trial < 300:
+            n = rng.randint(7, 10)
+            g = connected_random(rng, n, rng.randrange(2, 8))
+            if max_degree(g) < 4:
+                continue
+            if trial % 2:
+                g = WeightedGraph(n, [(u, v, rng.choice((1, 2))) for u, v, _ in g.edges])
+            want, _ = reference_min_sbst(g)
+            assert brute_force_min_sbst(g) == want, trial
+            feasible += want is not None
+            filtered += want != brute_force_min_pmst(g)
+            trial += 1
+        assert feasible >= 100 and filtered >= 20, (feasible, filtered)
+
+    def test_cap_counts_trees_with_a_perfect_matching(self):
+        g = complete(6)
+        _, n_trees = reference_min_pmst(g)
+        assert 0 < n_trees < enumerate_spanning_trees(g)
+        assert brute_force_min_sbst(g, cap=n_trees) is not None
+        with pytest.raises(TruncatedError, match=f"more than {n_trees - 1} "):
+            brute_force_min_sbst(g, cap=n_trees - 1)
+
+    @pytest.mark.parametrize(
+        "g",
+        [complete(5), WeightedGraph(6, [(0, v, 1) for v in range(1, 6)])],
+        ids=["K5", "star"],
+    )
+    def test_no_perfect_matching_answers_before_enumerating(self, g):
+        # Odd order, or even order without a perfect matching, on the
+        # dense route: no tree is built, so a cap of zero is not reached.
+        assert max_degree(g) >= 4
+        assert brute_force_min_sbst(g, cap=0) is None
 
     def test_satisfiable_one_variable_reduction_has_a_tree(self):
         from treematch import CnfFormula, default_layout, reduce_sat_to_sbst
