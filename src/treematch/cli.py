@@ -3,7 +3,11 @@
 One solver/check/reduction per subcommand, graph files in, a JSON report
 on stdout, diagnostics on stderr.  Exit codes: 0 when the instance is
 feasible (or the command simply succeeded), 2 when it is infeasible, 1
-on any input error.  The report always carries the four keys ``status``,
+on an input the command cannot use (a malformed or missing file, a
+negative ``--cap``, an instance past an oracle's limit).  A malformed
+command line, such as an unknown command or an option value argparse
+cannot parse, also exits 2, with argparse's usage message on stderr and
+nothing on stdout.  The report always carries the four keys ``status``,
 ``value``, ``edges``, ``certificate`` (null where not applicable), plus
 ``reason`` when infeasible.
 """

@@ -45,12 +45,14 @@ class WeightedGraph:
     """A simple undirected graph with integer edge weights.
 
     Edges are normalized to ``(u, v, weight)`` with ``u < v`` and kept in
-    construction order.  This constructor is the one place where an edge
-    list is checked: an entry that is not ``(u, v)`` or ``(u, v, w)`` over
-    integers, a self-loop, a vertex outside ``0 .. vertex_count - 1`` and a
-    parallel edge each raise ``BadEdgeError`` (a ``ValueError``) naming
-    the entry's position.  The ``(u, v) -> index`` map built while
-    rejecting parallel edges serves ``edge_index`` and ``has_edge``.
+    construction order.  The constructor's check loop, ``_fill``, is the
+    one place where an edge list is checked; ``with_added_edges`` runs it
+    over the appended entries only.  An entry that is not ``(u, v)`` or
+    ``(u, v, w)`` over integers, a self-loop, a vertex outside
+    ``0 .. vertex_count - 1`` and a parallel edge each raise
+    ``BadEdgeError`` (a ``ValueError``) naming the entry's position.  The
+    ``(u, v) -> index`` map built while rejecting parallel edges serves
+    ``edge_index`` and ``has_edge``.
     """
 
     vertex_count: int
@@ -60,9 +62,12 @@ class WeightedGraph:
     def __init__(self, vertex_count: int, edges: Iterable[Sequence[int]] = ()):
         if not isinstance(vertex_count, int) or vertex_count < 1:
             raise ValueError(f"vertex count must be a positive integer, got {vertex_count!r}")
-        normalized: list[tuple[int, int, int]] = []
-        index: dict[tuple[int, int], int] = {}
-        for pos, item in enumerate(edges):
+        self._fill(vertex_count, [], {}, edges)
+
+    def _fill(self, vertex_count: int, normalized: list, index: dict, items: Iterable) -> None:
+        # Check each of ``items``, append it to the already checked
+        # ``normalized`` and ``index``, and make those the fields.
+        for pos, item in enumerate(items, len(normalized)):
             if len(item) == 3:
                 u, v, w = item  # type: ignore[misc]
             elif len(item) == 2:
@@ -133,8 +138,12 @@ class WeightedGraph:
         return sorted((self.edges[i][0], self.edges[i][1]) for i in edge_set)
 
     def with_added_edges(self, new_edges: Iterable[Sequence[int]]) -> "WeightedGraph":
-        """A new graph with extra edges appended after the existing ones."""
-        return WeightedGraph(self.vertex_count, list(self.edges) + list(new_edges))
+        """A new graph with extra edges appended after the existing ones.
+        Only the new entries are checked, with the constructor's rules;
+        a rejected one's ``position`` counts the existing edges too."""
+        g = object.__new__(WeightedGraph)
+        g._fill(self.vertex_count, list(self.edges), dict(self._index), new_edges)
+        return g
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,11 @@ The one concession to scale is ``sb_tree_search``, a pruned backtracking
 search over edge in/out decisions, used for graphs of maximum degree at
 most three.  Its pruning rules only ever discard spanning trees that are
 not strongly balanced, so its optima agree with enumeration.
+
+No routine here recurses.  The pruned search and the augmentation
+branch and bound are loops over an explicit stack, so their depth is not
+limited by Python's recursion limit, and the pruned search rolls back
+through one logged setter.
 """
 
 from __future__ import annotations
@@ -288,6 +293,13 @@ class _SbSearch:
     cycle are forced out.  When one class of a component dies, vertices of
     the other class are capped at degree two.  Every leaf of the search is
     therefore a spanning tree, checked against the exact one-leaf rule.
+
+    The search is a loop over an explicit stack of open branchings, so its
+    depth is not limited by Python's recursion limit.  Every state change
+    goes through ``_set``, which logs the slot's old value, or ``_extend``,
+    which logs the empty slice past the list's old length; ``_undo``
+    restores the logged slots in reverse order.  Per-class data lives in
+    flat lists at ``2 * root + cls``.
     """
 
     IN = 1
@@ -295,34 +307,48 @@ class _SbSearch:
 
     def __init__(self, g: WeightedGraph, node_cap: int):
         self.g = g
-        self.n = g.vertex_count
+        self.n = n = g.vertex_count
         self.m = g.edge_count
         self.node_cap = node_cap
         self.ends = [(u, v) for u, v, _ in g.edges]
         self.wts = [w for _, _, w in g.edges]
         self.state = [0] * self.m
-        self.inc = [0] * self.n
-        self.und = [0] * self.n
+        self.inc = [0] * n
+        self.und = [0] * n
         for u, v, _ in g.edges:
             self.und[u] += 1
             self.und[v] += 1
-        self.parent = list(range(self.n))
-        self.par = [0] * self.n  # parity relative to parent
-        self.size = [1] * self.n
-        self.dead = [[False, False] for _ in range(self.n)]
-        self.leaf_cnt = [[0, 0] for _ in range(self.n)]
-        self.deg2 = [([], []) for _ in range(self.n)]  # degree-2 vertices per class
+        self.parent = list(range(n))
+        self.par = [0] * n  # parity relative to parent
+        self.size = [1] * n
+        self.dead = [False] * (2 * n)
+        self.leaf_cnt = [0] * (2 * n)
+        self.deg2: list[list[int]] = [[] for _ in range(2 * n)]  # degree-2 vertices
+        self.tally = [0, 0]  # edges in, and their total weight
         self.trail: list[tuple] = []
-        self.in_count = 0
-        self.in_weight = 0
-        self.comp_count = self.n
         self.nodes = 0
         self.dirty = True
         self.queue: deque[tuple[int, int]] = deque()
         self.nonneg = all(w >= 0 for w in self.wts)
         self.best_weight: int | None = None
         self.best_tree: EdgeSet | None = None
-        self.find_min = True
+
+    # -- logged state changes --
+
+    def _set(self, array: list, i: int, value: object) -> None:
+        self.trail.append((array, i, array[i]))
+        array[i] = value
+
+    def _extend(self, items: list[int], more: Iterable[int]) -> None:
+        # Logged as the slot past the old length, which was empty.
+        self.trail.append((items, slice(len(items), None), ()))
+        items.extend(more)
+
+    def _undo(self, mark: int) -> None:
+        trail = self.trail
+        for array, i, old in reversed(trail[mark:]):
+            array[i] = old
+        del trail[mark:]
 
     # -- DSU with parity (no path compression; unions are rolled back) --
 
@@ -342,51 +368,51 @@ class _SbSearch:
             ru, rv = rv, ru
             pu, pv = pv, pu
         q = pu ^ pv ^ 1
-        la, lb = self.deg2[ru]
-        self.trail.append((
-            "u", ru, rv,
-            self.dead[ru][0], self.dead[ru][1],
-            self.leaf_cnt[ru][0], self.leaf_cnt[ru][1],
-            len(la), len(lb),
-        ))
-        self.parent[rv] = ru
-        self.par[rv] = q
-        self.size[ru] += self.size[rv]
+        dead, leaf_cnt = self.dead, self.leaf_cnt
+        self._set(self.parent, rv, ru)
+        self._set(self.par, rv, q)
+        self._set(self.size, ru, self.size[ru] + self.size[rv])
         for c in (0, 1):
-            self.dead[ru][c ^ q] = self.dead[ru][c ^ q] or self.dead[rv][c]
-            self.leaf_cnt[ru][c ^ q] += self.leaf_cnt[rv][c]
-            self.deg2[ru][c ^ q].extend(self.deg2[rv][c])
-        self.comp_count -= 1
-        if self.dead[ru][0] and self.dead[ru][1]:
+            i, j = 2 * ru + (c ^ q), 2 * rv + c
+            if dead[j] and not dead[i]:
+                self._set(dead, i, True)
+            if leaf_cnt[j]:
+                self._set(leaf_cnt, i, leaf_cnt[i] + leaf_cnt[j])
+            if self.deg2[j]:
+                self._extend(self.deg2[i], self.deg2[j])
+        i = 2 * ru
+        if dead[i] and dead[i + 1]:
             return False
-        if self.leaf_cnt[ru][0] >= 2 and not self.dead[ru][0]:
-            if not self._mark_dead(ru, 0):
-                return False
-        if self.leaf_cnt[ru][1] >= 2 and not self.dead[ru][1]:
-            if not self._mark_dead(ru, 1):
-                return False
-        if self.dead[ru][0] != self.dead[ru][1]:
-            self._saturate(ru, 1 if self.dead[ru][0] else 0)
+        if leaf_cnt[i] >= 2 and not self._mark_dead(i):
+            return False
+        if leaf_cnt[i + 1] >= 2 and not self._mark_dead(i + 1):
+            return False
+        if dead[i] != dead[i + 1]:
+            self._saturate(i + 1 if dead[i] else i)
         return True
 
-    def _mark_dead(self, root: int, cls: int) -> bool:
-        if self.dead[root][cls]:
+    def _mark_dead(self, i: int) -> bool:
+        # Class i (= 2 * root + cls) can no longer be the plus side.
+        if self.dead[i]:
             return True
-        self.trail.append(("k", root, cls))
-        self.dead[root][cls] = True
-        if self.dead[root][cls ^ 1]:
+        self._set(self.dead, i, True)
+        if self.dead[i ^ 1]:
             return False
-        self._saturate(root, cls ^ 1)
+        self._saturate(i ^ 1)
         return True
 
-    def _saturate(self, root: int, cls: int) -> None:
-        # The surviving class must become the plus side: its degree-2
-        # vertices may grow no further.
-        for v in self.deg2[root][cls]:
-            if self.inc[v] == 2 and self.und[v]:
-                for e, _ in self.g.adjacency[v]:
-                    if self.state[e] == 0:
-                        self.queue.append((e, self.OUT))
+    def _saturate(self, i: int) -> None:
+        # Class i must become the plus side: its degree-2 vertices may
+        # grow no further.
+        for v in self.deg2[i]:
+            if self.inc[v] == 2:
+                self._cap(v)
+
+    def _cap(self, v: int) -> None:
+        # v may grow no further: every undecided edge at v goes out.
+        for e, _ in self.g.adjacency[v]:
+            if self.state[e] == 0:
+                self.queue.append((e, self.OUT))
 
     # -- decision application --
 
@@ -397,42 +423,39 @@ class _SbSearch:
         if old != 0:
             return False
         u, v = self.ends[e]
-        self.trail.append(("s", e))
-        self.state[e] = val
-        self.und[u] -= 1
-        self.und[v] -= 1
+        inc, und, tally = self.inc, self.und, self.tally
+        self._set(self.state, e, val)
+        self._set(und, u, und[u] - 1)
+        self._set(und, v, und[v] - 1)
         if val == self.IN:
-            self.in_count += 1
-            self.in_weight += self.wts[e]
-            self.inc[u] += 1
-            self.inc[v] += 1
+            self._set(tally, 0, tally[0] + 1)
+            self._set(tally, 1, tally[1] + self.wts[e])
+            self._set(inc, u, inc[u] + 1)
+            self._set(inc, v, inc[v] + 1)
             if not self._union(u, v):
                 return False
             for x in (u, v):
                 root, cls = self.find(x)
-                if self.inc[x] >= 3:
-                    if not self._mark_dead(root, cls):
+                i = 2 * root + cls
+                if inc[x] >= 3:
+                    if not self._mark_dead(i):
                         return False
-                elif self.inc[x] == 2:
-                    self.trail.append(("l", root, cls, len(self.deg2[root][cls])))
-                    self.deg2[root][cls].append(x)
-                    if self.dead[root][cls ^ 1] and self.und[x]:
-                        for e2, _ in self.g.adjacency[x]:
-                            if self.state[e2] == 0:
-                                self.queue.append((e2, self.OUT))
+                elif inc[x] == 2:
+                    self._extend(self.deg2[i], (x,))
+                    if self.dead[i ^ 1]:
+                        self._cap(x)
         else:
             self.dirty = True
         for x in (u, v):
-            if self.und[x] == 0:
-                if self.inc[x] == 0:
+            if und[x] == 0:
+                if inc[x] == 0:
                     return False  # isolated vertex
-                if self.inc[x] == 1:
+                if inc[x] == 1:
                     root, cls = self.find(x)
-                    self.trail.append(("f", root, cls))
-                    self.leaf_cnt[root][cls] += 1
-                    if self.leaf_cnt[root][cls] >= 2:
-                        if not self._mark_dead(root, cls):
-                            return False
+                    i = 2 * root + cls
+                    self._set(self.leaf_cnt, i, self.leaf_cnt[i] + 1)
+                    if self.leaf_cnt[i] >= 2 and not self._mark_dead(i):
+                        return False
         return True
 
     def _bridge_pass(self) -> bool:
@@ -448,27 +471,26 @@ class _SbSearch:
         disc = [-1] * n
         parent_of = [-1] * n
         pedge = [-1] * n
-        timer = 0
+        order = [0]  # vertices in discovery order
         stack: list[tuple[int, int]] = [(0, 0)]
         disc[0] = 0
-        timer = 1
         while stack:
             x, it = stack.pop()
             while it < len(adj[x]):
                 y, e = adj[x][it]
                 it += 1
                 if disc[y] == -1:
-                    disc[y] = timer
-                    timer += 1
+                    disc[y] = len(order)
+                    order.append(y)
                     parent_of[y] = x
                     pedge[y] = e
                     stack.append((x, it))
                     stack.append((y, 0))
                     break
-        if timer != n:
+        if len(order) != n:
             return False
         low = disc[:]
-        for v in sorted(range(n), key=lambda v: -disc[v]):
+        for v in reversed(order):
             for y, e in adj[v]:
                 if e == pedge[v] or (e == pedge[y] and parent_of[y] == v):
                     continue
@@ -506,39 +528,6 @@ class _SbSearch:
                     continue
             return True
 
-    def _undo(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            entry = self.trail.pop()
-            tag = entry[0]
-            if tag == "s":
-                e = entry[1]
-                u, v = self.ends[e]
-                if self.state[e] == self.IN:
-                    self.in_count -= 1
-                    self.in_weight -= self.wts[e]
-                    self.inc[u] -= 1
-                    self.inc[v] -= 1
-                self.state[e] = 0
-                self.und[u] += 1
-                self.und[v] += 1
-            elif tag == "u":
-                _, ru, rv, d0, d1, f0, f1, l0, l1 = entry
-                self.parent[rv] = rv
-                self.size[ru] -= self.size[rv]
-                self.dead[ru][0] = d0
-                self.dead[ru][1] = d1
-                self.leaf_cnt[ru][0] = f0
-                self.leaf_cnt[ru][1] = f1
-                del self.deg2[ru][0][l0:]
-                del self.deg2[ru][1][l1:]
-                self.comp_count += 1
-            elif tag == "k":
-                self.dead[entry[1]][entry[2]] = False
-            elif tag == "f":
-                self.leaf_cnt[entry[1]][entry[2]] -= 1
-            else:  # "l"
-                del self.deg2[entry[1]][entry[2]][entry[3]:]
-
     def _pick(self) -> int:
         best, score = -1, -1
         for e in range(self.m):
@@ -550,55 +539,52 @@ class _SbSearch:
         return best
 
     def _complete(self) -> bool:
-        if self.in_count != self.n - 1 or self.comp_count != 1:
+        # In-edges never close a cycle, so n - 1 of them span.
+        in_count, w = self.tally
+        i = 2 * self.find(0)[0]
+        if in_count != self.n - 1 or not any(
+            not self.dead[c] and self.leaf_cnt[c] == 1 for c in (i, i + 1)
+        ):
             return False
-        root, _ = self.find(0)
-        ok = any(
-            not self.dead[root][c] and self.leaf_cnt[root][c] == 1 for c in (0, 1)
-        )
-        if not ok:
-            return False
-        w = self.in_weight
         if self.best_weight is None or w < self.best_weight:
             self.best_weight = w
             self.best_tree = frozenset(e for e in range(self.m) if self.state[e] == self.IN)
         return True
 
-    def _rec(self) -> bool:
-        self.nodes += 1
-        if self.nodes > self.node_cap:
-            raise TruncatedError(f"search exceeded {self.node_cap} nodes")
-        if self.find_min and self.nonneg and self.best_weight is not None:
-            if self.in_weight >= self.best_weight:
-                return False
-        e = self._pick()
-        if e == -1:
-            return self._complete()
-        found = False
-        for val in (self.IN, self.OUT):
-            mark = len(self.trail)
+    def run(self, find_min: bool) -> tuple[EdgeSet, int] | None:
+        """Search once; the state is left as it stands afterwards."""
+        if not is_connected(self.g) or not self._propagate():
+            return None
+        # Open branchings, each [edge, trail mark, value tried]: IN is
+        # tried first, then OUT, each from the state at the mark.
+        stack: list[list[int]] = []
+        bound = find_min and self.nonneg
+        entered = True
+        while True:
+            if entered:
+                self.nodes += 1
+                if self.nodes > self.node_cap:
+                    raise TruncatedError(f"search exceeded {self.node_cap} nodes")
+                best = self.best_weight
+                if not (bound and best is not None and self.tally[1] >= best):
+                    e = self._pick()
+                    if e != -1:
+                        stack.append([e, len(self.trail), 0])
+                    elif self._complete() and not find_min:
+                        break
+            while stack and stack[-1][2] == self.OUT:
+                stack.pop()
+            if not stack:
+                break
+            top = stack[-1]
+            e, mark, tried = top
+            if tried:
+                self._undo(mark)
+                self.dirty = True
+            top[2] = val = self.OUT if tried else self.IN
             self.queue.clear()
             self.queue.append((e, val))
-            if self._propagate():
-                if self._rec():
-                    found = True
-            self._undo(mark)
-            self.dirty = True
-            if found and not self.find_min:
-                return True
-        return found
-
-    def run(self, find_min: bool) -> tuple[EdgeSet, int] | None:
-        self.find_min = find_min
-        if not is_connected(self.g):
-            return None
-        mark = len(self.trail)
-        self.queue.clear()
-        if not self._propagate():
-            self._undo(mark)
-            return None
-        self._rec()
-        self._undo(mark)
+            entered = self._propagate()
         if self.best_tree is None:
             return None
         return self.best_tree, self.best_weight
@@ -722,19 +708,19 @@ def brute_force_opt_aug(h: WeightedGraph, host: HostKind) -> int:
         if not h.has_edge(u, v) and host.admits_edge(u, v)
     ]
     best = n * n  # loose upper bound, beaten immediately
-
-    def dfs(pos: int, added: int, dp: bytearray, comp: list[int]) -> None:
-        nonlocal best
+    # Depth first over (next candidate, edges added, dp, comp); children
+    # go on in reverse, so candidates are tried in ascending order.
+    stack = [(0, 0, dp, comp)]
+    while stack:
+        pos, added, dp, comp = stack.pop()
         b = max(len(set(comp)) - 1, (n - 2 * dp[full]) // 2)
         if added + b >= best:
-            return
+            continue
         if b == 0:
             best = added
-            return
-        for i in range(pos, len(cands)):
-            dfs(i + 1, added + 1, *add_edge(dp, comp, *cands[i]))
-
-    dfs(0, 0, dp, comp)
+            continue
+        for i in range(len(cands) - 1, pos - 1, -1):
+            stack.append((i + 1, added + 1, *add_edge(dp, comp, *cands[i])))
     return best
 
 

@@ -533,6 +533,15 @@ class TestOracleCommands:
         assert code == 0
         assert report(out)["value"] == 6
 
+    def test_minsbst_on_a_long_cycle_from_gen(self, capsys, monkeypatch):
+        # The pruned search goes one level deeper per decided edge, so a
+        # 1000-edge cycle is deeper than Python's default recursion limit.
+        code, text, _ = run(capsys, ["gen", "cycle", "1000"])
+        assert code == 0
+        code, out, err = run(capsys, ["oracle", "minsbst", "-"], stdin=text, monkeypatch=monkeypatch)
+        assert (code, err) == (0, "")
+        assert '"value": 999' in out
+
     def test_minpmst_exact_report(self, tmp_path, capsys):
         path = write_graph(tmp_path, "wheel.graph", WHEEL_GRAPH)
         code, out, _ = run(capsys, ["oracle", "minpmst", path])
@@ -730,4 +739,27 @@ def test_no_process_global_state_in_the_package():
                 isinstance(t, ast.Name) and t.id == "__all__" for t in targets
             ):
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_no_recursion_in_the_package():
+    # A function that calls itself, by bare name or as `self.<name>`, has
+    # its depth bounded by Python's recursion limit; searches use loops.
+    package = Path(treematch.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                if (isinstance(f, ast.Name) and f.id == fn.name) or (
+                    isinstance(f, ast.Attribute)
+                    and f.attr == fn.name
+                    and isinstance(f.value, ast.Name)
+                    and f.value.id == "self"
+                ):
+                    found.append(f"{path.name}:{fn.name}:{node.lineno}")
     assert found == []

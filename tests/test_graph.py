@@ -23,6 +23,7 @@ from treematch import (
     save_graph,
 )
 from treematch.generate import cube, CUBE_HAMILTONIAN_CYCLE
+from treematch.graph import BadEdgeError
 
 
 def path(n, weights=None):
@@ -76,6 +77,23 @@ class TestConstruction:
         h = g.with_added_edges([(1, 2, 9)])
         assert h.edges == ((0, 1, 1), (1, 2, 9))
         assert g.edge_count == 1  # original untouched
+        assert h == WeightedGraph(3, [(0, 1, 1), (1, 2, 9)])
+        assert h.edge_index(2, 1) == 1 and not h.has_edge(0, 2)
+        assert h.adjacency == (((0, 1),), ((0, 0), (1, 2)), ((1, 1),))
+
+    @pytest.mark.parametrize(
+        "extra", [[(1, 2), (0, 1)], [(2, 2)], [(1, 3)], [(1, 2, "9")], [(1,)], [(1, 2), (2, 1)]]
+    )
+    def test_with_added_edges_rejects_as_the_constructor_does(self, extra):
+        # Same error type, message and position as building the whole
+        # edge list at once.
+        old = [(0, 1, 1), (0, 2, 4)]
+        with pytest.raises(BadEdgeError) as whole:
+            WeightedGraph(3, old + extra)
+        with pytest.raises(BadEdgeError) as added:
+            WeightedGraph(3, old).with_added_edges(extra)
+        assert str(added.value) == str(whole.value)
+        assert added.value.position == whole.value.position >= len(old)
 
 
 class TestComponents:

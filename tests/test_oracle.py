@@ -18,8 +18,17 @@ from treematch import (
     deficiency_profile,
     is_connected,
     is_strongly_balanced,
+    reduce_sat_to_sbst,
+    replace_leaves,
 )
-from treematch.generate import complete, cube, cycle, petersen
+from treematch.generate import (
+    circular_ladder,
+    complete,
+    cube,
+    cycle,
+    petersen,
+    random_cnf_layout,
+)
 from treematch.oracle import (
     brute_force_min_pmst,
     brute_force_min_sbst,
@@ -53,6 +62,95 @@ def connected_random(rng, n, extra):
     rng.shuffle(pool)
     pairs.update(pool[:extra])
     return WeightedGraph(n, [(u, v, rng.randrange(1, 9)) for u, v in sorted(pairs)])
+
+
+def pinned_search_corpus():
+    """40 seeded graphs for ``sb_tree_search``: subcubic graphs with
+    weights 1 and 2, so that ties occur; SAT reductions on 1 to 4
+    variables, reweighted the same way when they have at most 50 edges;
+    and leaf-replaced connected subcubic graphs."""
+    rng = random.Random(1010)
+
+    def reweight(g):
+        return WeightedGraph(g.vertex_count, [(u, v, rng.choice((1, 2))) for u, v, _ in g.edges])
+
+    for _ in range(16):
+        yield reweight(random_subcubic(rng, rng.randrange(4, 13)))
+    for t in range(12):
+        g = reduce_sat_to_sbst(random_cnf_layout(1 + t % 4, t % 3, 2000 + t)).graph
+        yield reweight(g) if g.edge_count <= 50 else g
+    made = 0
+    while made < 12:
+        g = random_subcubic(rng, rng.randrange(4, 9), tries=rng.randrange(6, 12))
+        if is_connected(g) and min(map(g.degree, range(g.vertex_count))) == 1:
+            yield replace_leaves(reweight(g))
+            made += 1
+
+
+# Per graph of ``pinned_search_corpus``: what ``sb_tree_search`` returns
+# with find_min True and False, as (the sorted indices of the edges the
+# tree leaves out, weight), or None.  The complement names the tree
+# exactly and is much shorter on the SAT reductions.
+PINNED_SB_SEARCH = [
+    (None, None),
+    (((1, 4, 5), 3), ((3, 4, 5), 4)),
+    (((3, 4, 5, 7), 7), ((5, 6, 9, 10), 10)),
+    (None, None),
+    (None, None),
+    (None, None),
+    (None, None),
+    (None, None),
+    (((1, 5, 7, 10), 8), ((1, 5, 7, 9), 9)),
+    (None, None),
+    (((5, 7, 8, 10, 11, 14), 13), ((5, 7, 8, 10, 13, 14), 14)),
+    (((1, 4, 9, 11, 12, 13), 12), ((5, 8, 9, 11, 12, 14), 13)),
+    (((2, 4, 5), 6), ((2, 4, 5), 6)),
+    (((1, 4, 5), 3), ((2, 3, 5), 5)),
+    (None, None),
+    (((0, 2, 3, 5, 8, 15), 12), ((0, 2, 3, 5, 8, 15), 12)),
+    (((12, 13, 17), 26), ((12, 13, 17), 26)),
+    (((8, 18, 22, 31, 32, 36, 40, 44, 49), 56), ((16, 17, 21, 31, 32, 36, 40, 42, 47), 59)),
+    (
+        ((16, 17, 21, 33, 34, 38, 50, 51, 55, 59, 61, 66, 70, 72, 77), 0),
+        ((16, 17, 21, 33, 34, 38, 50, 51, 55, 59, 61, 66, 70, 72, 77), 0),
+    ),
+    (
+        ((12, 13, 17, 25, 26, 30, 38, 39, 43, 51, 52, 56), 0),
+        ((12, 13, 17, 25, 26, 30, 38, 39, 43, 51, 52, 56), 0),
+    ),
+    (((8, 20, 24, 26, 35, 36), 52), ((18, 19, 23, 27, 29, 34), 54)),
+    (
+        ((18, 19, 23, 27, 39, 43, 45, 54, 55, 59, 64, 65), 0),
+        ((18, 19, 23, 27, 39, 43, 45, 54, 55, 59, 64, 65), 0),
+    ),
+    (((12, 13, 17, 25, 26, 30, 34, 40, 44), 52), ((12, 13, 17, 25, 26, 30, 38, 39, 43), 54)),
+    (
+        ((14, 15, 19, 29, 30, 34, 44, 45, 49, 57, 58, 62, 66, 68, 73), 0),
+        ((14, 15, 19, 29, 30, 34, 44, 45, 49, 57, 58, 62, 66, 68, 73), 0),
+    ),
+    (((24, 25, 29, 34, 40, 42, 44, 46, 51), 0), ((24, 25, 29, 34, 40, 42, 44, 46, 51), 0)),
+    (((12, 13, 17, 25, 26, 30), 40), ((12, 13, 17, 25, 26, 30), 40)),
+    (
+        ((14, 15, 19, 29, 30, 34, 44, 45, 49, 54, 60, 62), 0),
+        ((14, 15, 19, 29, 30, 34, 44, 45, 49, 54, 60, 62), 0),
+    ),
+    (
+        ((16, 17, 21, 31, 32, 36, 46, 47, 51, 55, 65, 69, 73, 79, 81, 82, 84, 92), 0),
+        ((16, 17, 21, 31, 32, 36, 46, 47, 51, 55, 65, 69, 73, 79, 81, 82, 84, 92), 0),
+    ),
+    (None, None),
+    (((3, 5, 10), 6), ((3, 5, 10), 6)),
+    (None, None),
+    (None, None),
+    (None, None),
+    (((4, 6, 13, 18), 7), ((6, 7, 12, 18), 8)),
+    (None, None),
+    (((2, 3, 7, 12), 6), ((3, 5, 6, 11), 8)),
+    (((5, 10), 6), ((5, 10), 6)),
+    (((0, 2, 5, 11), 7), ((2, 4, 7, 11), 9)),
+    (((3, 5, 11), 6), ((2, 5, 10), 7)),
+    (((3, 8, 13, 18), 9), ((3, 6, 13, 17), 10)),
+]
 
 
 class TestEnumerateSpanningTrees:
@@ -324,6 +422,18 @@ class TestSbTreeSearch:
                 t = as_bipartitioned_tree(g, fast[0])
                 assert is_strongly_balanced(t) is not None
 
+    def test_pinned_trees_and_weights(self):
+        got = []
+        for g in pinned_search_corpus():
+            pair = []
+            for find_min in (True, False):
+                hit = sb_tree_search(g, find_min=find_min)
+                if hit is not None:
+                    hit = (tuple(sorted(set(range(g.edge_count)) - hit[0])), hit[1])
+                pair.append(hit)
+            got.append(tuple(pair))
+        assert got == PINNED_SB_SEARCH
+
     def test_node_cap_is_enforced(self):
         with pytest.raises(TruncatedError):
             sb_tree_search(cube(), find_min=True, node_cap=3)
@@ -396,6 +506,12 @@ class TestBruteForceMinSbst:
         assert max_degree(g) >= 4
         assert brute_force_min_sbst(g, cap=0) is None
 
+    def test_long_cycle_leaves_the_recursion_limit_alone(self):
+        limit = sys.getrecursionlimit()
+        got = brute_force_min_sbst(cycle(1000))
+        assert got is not None and got[1] == 999
+        assert sys.getrecursionlimit() == limit
+
     def test_satisfiable_one_variable_reduction_has_a_tree(self):
         from treematch import CnfFormula, default_layout, reduce_sat_to_sbst
 
@@ -416,6 +532,16 @@ class TestBruteForceSbstExists:
             if hit is not None:
                 t = as_bipartitioned_tree(g, hit)
                 assert is_strongly_balanced(t) is not None
+
+    def test_circular_ladder_600_leaves_the_recursion_limit_alone(self):
+        # 1800 edges, one search level each: deeper than Python's default
+        # recursion limit.
+        limit = sys.getrecursionlimit()
+        g = circular_ladder(600)
+        hit = brute_force_sbst_exists(g)
+        assert hit is not None
+        assert is_strongly_balanced(as_bipartitioned_tree(g, hit)) is not None
+        assert sys.getrecursionlimit() == limit
 
 
 class TestBruteForceOptAug:
