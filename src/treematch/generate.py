@@ -161,4 +161,4 @@ def random_cnf_layout(num_vars: int, num_clauses: int, seed: int) -> CnfLayout:
         clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
     formula = CnfFormula(num_vars, tuple(clauses))
     sides = tuple(rng.choice(("in", "out")) for _ in range(num_clauses))
-    return _clause_order_layout(formula, sides)
+    return _clause_order_layout(formula, sides, {})

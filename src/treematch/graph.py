@@ -235,17 +235,11 @@ def is_connected(g: WeightedGraph) -> bool:
     return len(connected_components(g)) == 1
 
 
-def _odd_cycle_witness(parent: list[int], depth: list[int], u: int, v: int) -> VertexCycle:
-    # u and v are in the same BFS layer parity; walk both up to the meeting
-    # point to close an odd cycle.
+def _odd_cycle_witness(parent: list[int], u: int, v: int) -> VertexCycle:
+    # u and v are BFS-adjacent on the same side, so at the same depth;
+    # walk both up in step to their meeting point to close an odd cycle.
     pu, pv = [u], [v]
     a, b = u, v
-    while depth[a] > depth[b]:
-        a = parent[a]
-        pu.append(a)
-    while depth[b] > depth[a]:
-        b = parent[b]
-        pv.append(b)
     while a != b:
         a = parent[a]
         b = parent[b]
@@ -262,7 +256,6 @@ def bipartition_of(g: WeightedGraph) -> Bipartition:
     """
     side = [-1] * g.vertex_count
     parent = [-1] * g.vertex_count
-    depth = [0] * g.vertex_count
     for start in range(g.vertex_count):
         if side[start] != -1:
             continue
@@ -274,10 +267,9 @@ def bipartition_of(g: WeightedGraph) -> Bipartition:
                 if side[y] == -1:
                     side[y] = 1 - side[x]
                     parent[y] = x
-                    depth[y] = depth[x] + 1
                     queue.append(y)
                 elif side[y] == side[x]:
-                    raise NotBipartiteError(_odd_cycle_witness(parent, depth, x, y))
+                    raise NotBipartiteError(_odd_cycle_witness(parent, x, y))
     return Bipartition(tuple(side))
 
 

@@ -248,8 +248,6 @@ def tree_perfect_matching(t: BipartitionedTree) -> Matching | None:
     n = g.vertex_count
     if n % 2:
         return None
-    if n == 0:
-        return Matching.from_edges(g, ())
     deg = list(t.degree)
     alive = [True] * n
     chosen: list[int] = []

@@ -11,13 +11,11 @@ what makes the greedy rounds globally optimal.
 
 Exchange arcs come in two bundles per round.  For y outside I that the
 graphic matroid cannot absorb directly, arcs run from each edge on the
-tree path of I + y into y; when I + y is independent the arcs from all
-of I are encoded through a shared hub node instead of materializing |I|
-arcs.  The partition matroid contributes the mirrored arcs out of y, one
-to each member of y's part.  Arc costs charge +w(y) for entering the set
-and -w(x) for leaving it, and every real arc also counts one step for the
-tie-break; hub hops are free and stepless on entry so a hub-routed
-exchange still costs exactly one step.
+tree path of I + y into y; the source has an arc to each y it can
+absorb.  The partition matroid contributes the mirrored arcs out of y,
+one to each member of y's part.  Arc costs charge +w(y) for entering the
+set and -w(x) for leaving it, and every arc also counts one step for the
+tie-break.
 
 Every element also carries a potential pot, feasible on every arc:
 pot[v] <= pot[u] + c for an arc u -> v of cost c, the source's potential
@@ -43,6 +41,14 @@ virtual sink, whose potential is low.  An element that the path toggles then shi
 its old cost: -w when it enters I, +w when it leaves.  This keeps the
 potentials feasible in the next round's digraph.  A reached element
 that lies nearer than its potential means a bug, and the round raises.
+
+The digraph leaves out the textbook arcs from I into each y the first
+matroid can absorb, and from each sink into I.  A path to x in I costs
+at least 0 over at least 2 arcs, I being extreme, so going on to such a
+y never beats the arc source -> y.  Feasibility on the arc from the
+least-potential sink into x gives pot[x] <= low - w(x), so a node
+reached through a sink-to-I arc lies at least cap beyond its potential
+and gets pot + cap, as if unreached; the chosen path cannot use one.
 
 Shortest paths come from a label-correcting search: queue-based
 Bellman-Ford (SPFA) over per-node out-arc lists.  Leaving-arc costs are
@@ -263,8 +269,8 @@ def min_weight_common_base(
     if k > g:
         return None
 
-    hub1, hub2, src_node = g, g + 1, g + 2
-    node_count = g + 3
+    src_node = g
+    node_count = g + 1
     scale = 2 * g + 4  # longer than any simple path's arc count
     in_set = [False] * g
     selection: list[int] = []
@@ -292,30 +298,21 @@ def min_weight_common_base(
         else:
             out: list[list[tuple[int, int]]] = [[] for _ in range(node_count)]
             sinks: list[int] = []
-            any_source = False
             for y in range(g):
                 if in_set[y]:
                     continue
                 enter = weights[y] * scale + 1
                 if ctx1.addable(y):
-                    any_source = True
                     out[src_node].append((y, enter))
-                    if selection:
-                        out[hub1].append((y, enter))
                 else:
                     for x in ctx1.swap_candidates(y):
                         out[x].append((y, enter))
                 if ctx2.addable(y):
                     sinks.append(y)
-                    if selection:
-                        out[y].append((hub2, 0))
                 else:
                     for x in ctx2.swap_candidates(y):
                         out[y].append((x, -weights[x] * scale + 1))
-            for x in selection:
-                out[x].append((hub1, 0))
-                out[hub2].append((x, -weights[x] * scale + 1))
-            if not any_source or not sinks:
+            if not out[src_node] or not sinks:
                 return None
 
             dist, pred = _shortest_paths(out, src_node)
@@ -330,8 +327,7 @@ def min_weight_common_base(
             node = best_sink
             toggled = []
             while node != src_node:
-                if node < g:
-                    toggled.append(node)
+                toggled.append(node)
                 if pred[node] == -1:
                     raise AssertionError("shortest-path keys admit no predecessor")
                 node = pred[node]

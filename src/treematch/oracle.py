@@ -2,9 +2,9 @@
 
 Everything here is written for independence from the production solvers,
 not for speed: spanning trees are enumerated by include/exclude
-backtracking, matchings by subset dynamic programming, augmentation optima by
-branch and bound over candidate edge sets, and SAT by assignment scan.
-Tests freeze values computed by these routines and compare the fast paths
+backtracking, augmentation optima by branch and bound over candidate edge
+sets with subset-DP matching numbers, and SAT by assignment scan.  Tests
+freeze values computed by these routines and compare the fast paths
 against them.
 
 Both minimum-tree oracles enumerate matching first: a tree contains at
@@ -145,38 +145,6 @@ def enumerate_spanning_trees(
     return count
 
 
-def spanning_tree_count_determinant(g: WeightedGraph) -> int:
-    """Number of spanning trees via an exact integer determinant of a
-    Laplacian minor (Bareiss elimination).  Cross-checks the enumerator."""
-    n = g.vertex_count
-    if n == 1:
-        return 1
-    lap = [[0] * n for _ in range(n)]
-    for u, v, _ in g.edges:
-        lap[u][u] += 1
-        lap[v][v] += 1
-        lap[u][v] -= 1
-        lap[v][u] -= 1
-    a = [row[1:] for row in lap[1:]]
-    k = n - 1
-    prev = 1
-    for col in range(k - 1):
-        if a[col][col] == 0:
-            swap = next((r for r in range(col + 1, k) if a[r][col] != 0), None)
-            if swap is None:
-                return 0
-            a[col], a[swap] = a[swap], a[col]
-            # A row swap flips the determinant's sign; negating one row
-            # flips it back.
-            a[swap] = [-x for x in a[swap]]
-        for r in range(col + 1, k):
-            for c in range(col + 1, k):
-                a[r][c] = (a[r][c] * a[col][col] - a[r][col] * a[col][c]) // prev
-            a[r][col] = 0
-        prev = a[col][col]
-    return a[k - 1][k - 1]
-
-
 # ---------------------------------------------------------------------------
 # PMST oracle
 
@@ -310,8 +278,6 @@ class _SbSearch:
         self.n = n = g.vertex_count
         self.m = g.edge_count
         self.node_cap = node_cap
-        self.ends = [(u, v) for u, v, _ in g.edges]
-        self.wts = [w for _, _, w in g.edges]
         self.state = [0] * self.m
         self.inc = [0] * n
         self.und = [0] * n
@@ -329,7 +295,7 @@ class _SbSearch:
         self.nodes = 0
         self.dirty = True
         self.queue: deque[tuple[int, int]] = deque()
-        self.nonneg = all(w >= 0 for w in self.wts)
+        self.nonneg = all(w >= 0 for _, _, w in g.edges)
         self.best_weight: int | None = None
         self.best_tree: EdgeSet | None = None
 
@@ -422,14 +388,14 @@ class _SbSearch:
             return True
         if old != 0:
             return False
-        u, v = self.ends[e]
+        u, v, w = self.g.edges[e]
         inc, und, tally = self.inc, self.und, self.tally
         self._set(self.state, e, val)
         self._set(und, u, und[u] - 1)
         self._set(und, v, und[v] - 1)
         if val == self.IN:
             self._set(tally, 0, tally[0] + 1)
-            self._set(tally, 1, tally[1] + self.wts[e])
+            self._set(tally, 1, tally[1] + w)
             self._set(inc, u, inc[u] + 1)
             self._set(inc, v, inc[v] + 1)
             if not self._union(u, v):
@@ -461,13 +427,7 @@ class _SbSearch:
     def _bridge_pass(self) -> bool:
         # Bridges of the in-or-undecided graph must be in any spanning
         # tree; disconnection means no tree survives this branch.
-        n = self.n
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for e in range(self.m):
-            if self.state[e] != self.OUT:
-                u, v = self.ends[e]
-                adj[u].append((v, e))
-                adj[v].append((u, e))
+        n, adj, state, out = self.n, self.g.adjacency, self.state, self.OUT
         disc = [-1] * n
         parent_of = [-1] * n
         pedge = [-1] * n
@@ -477,9 +437,9 @@ class _SbSearch:
         while stack:
             x, it = stack.pop()
             while it < len(adj[x]):
-                y, e = adj[x][it]
+                e, y = adj[x][it]
                 it += 1
-                if disc[y] == -1:
+                if state[e] != out and disc[y] == -1:
                     disc[y] = len(order)
                     order.append(y)
                     parent_of[y] = x
@@ -491,8 +451,8 @@ class _SbSearch:
             return False
         low = disc[:]
         for v in reversed(order):
-            for y, e in adj[v]:
-                if e == pedge[v] or (e == pedge[y] and parent_of[y] == v):
+            for e, y in adj[v]:
+                if state[e] == out or e == pedge[v] or e == pedge[y]:
                     continue
                 if disc[y] < low[v]:
                     low[v] = disc[y]
@@ -500,7 +460,7 @@ class _SbSearch:
             if p != -1:
                 if low[v] < low[p]:
                     low[p] = low[v]
-                if low[v] > disc[p] and self.state[pedge[v]] == 0:
+                if low[v] > disc[p] and state[pedge[v]] == 0:
                     self.queue.append((pedge[v], self.IN))
         return True
 
@@ -514,7 +474,7 @@ class _SbSearch:
             swept = False
             for e in range(self.m):
                 if self.state[e] == 0:
-                    u, v = self.ends[e]
+                    u, v, _ = self.g.edges[e]
                     if self.find(u)[0] == self.find(v)[0]:
                         self.queue.append((e, self.OUT))
                         swept = True
@@ -532,7 +492,7 @@ class _SbSearch:
         best, score = -1, -1
         for e in range(self.m):
             if self.state[e] == 0:
-                u, v = self.ends[e]
+                u, v, _ = self.g.edges[e]
                 s = self.inc[u] + self.inc[v]
                 if s > score:
                     best, score = e, s
@@ -553,7 +513,8 @@ class _SbSearch:
 
     def run(self, find_min: bool) -> tuple[EdgeSet, int] | None:
         """Search once; the state is left as it stands afterwards."""
-        if not is_connected(self.g) or not self._propagate():
+        # On a disconnected graph the first bridge pass fails.
+        if not self._propagate():
             return None
         # Open branchings, each [edge, trail mark, value tried]: IN is
         # tried first, then OUT, each from the state at the mark.
@@ -722,36 +683,6 @@ def brute_force_opt_aug(h: WeightedGraph, host: HostKind) -> int:
         for i in range(len(cands) - 1, pos - 1, -1):
             stack.append((i + 1, added + 1, *add_edge(dp, comp, *cands[i])))
     return best
-
-
-# ---------------------------------------------------------------------------
-# Matching oracle
-
-
-def max_matching_size_exhaustive(g: WeightedGraph) -> int:
-    """Maximum matching size by subset DP; limited to 20 vertices."""
-    n = g.vertex_count
-    if n > 20:
-        raise TooLargeError(f"{n} vertices is past the exhaustive limit of 20")
-    nbr = [0] * n
-    for u, v, _ in g.edges:
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
-    dp = bytearray(1 << n)
-    for s in range(1, 1 << n):
-        lb = s & -s
-        v = lb.bit_length() - 1
-        rest = s ^ lb
-        best = dp[rest]
-        cand = nbr[v] & rest
-        while cand:
-            ub = cand & -cand
-            val = dp[rest ^ ub] + 1
-            if val > best:
-                best = val
-            cand ^= ub
-        dp[s] = best
-    return dp[(1 << n) - 1]
 
 
 # ---------------------------------------------------------------------------

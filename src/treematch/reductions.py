@@ -388,24 +388,30 @@ class CnfLayout:
         return lists[var0].index((j, l)) + 1
 
 
-def _clause_order_layout(formula: CnfFormula, sides: tuple[str, ...]) -> CnfLayout:
-    """The layout with the given clause sides whose occurrence lists are
-    in clause-then-slot order."""
-    occ: dict[str, list[list[Occurrence]]] = {
-        side: [[] for _ in range(formula.num_vars)] for side in ("in", "out")
-    }
+def _clause_order_layout(
+    formula: CnfFormula,
+    sides: tuple[str, ...],
+    explicit: dict[tuple[int, str], list[Occurrence]],
+) -> CnfLayout:
+    """The layout with the given clause sides.  A variable's occurrence
+    list on a side is ``explicit[(var0, side)]`` where that is given, and
+    its occurrences there in clause-then-slot order otherwise."""
+    occ: dict[tuple[int, str], list[Occurrence]] = {}
     for j, cl in enumerate(formula.clauses):
         for l, lit in enumerate(cl):
-            occ[sides[j]][abs(lit) - 1].append((j, l))
-    return CnfLayout(
-        formula, sides, tuple(map(tuple, occ["in"])), tuple(map(tuple, occ["out"]))
+            occ.setdefault((abs(lit) - 1, sides[j]), []).append((j, l))
+    occ.update(explicit)
+    in_occ, out_occ = (
+        tuple(tuple(occ.get((var0, side), ())) for var0 in range(formula.num_vars))
+        for side in ("in", "out")
     )
+    return CnfLayout(formula, sides, in_occ, out_occ)
 
 
 def default_layout(formula: CnfFormula) -> CnfLayout:
     """Every clause on the "in" side, occurrences in clause-then-slot
     order."""
-    return _clause_order_layout(formula, ("in",) * len(formula.clauses))
+    return _clause_order_layout(formula, ("in",) * len(formula.clauses), {})
 
 
 def parse_cnf_layout(text: str) -> CnfLayout:
@@ -462,18 +468,11 @@ def parse_cnf_layout(text: str) -> CnfLayout:
     formula = CnfFormula(num_vars, tuple(clauses))
     if any(j not in range(len(clauses)) for j in sides):
         raise BadLayoutError(f"side line for unknown clause {max(sides) + 1}")
-    layout = _clause_order_layout(
-        formula, tuple(sides.get(j, "in") for j in range(len(clauses)))
-    )
-    occ_lists = {"in": list(layout.in_occurrences), "out": list(layout.out_occurrences)}
-    for (var0, side), occ in explicit_occ.items():
+    for var0, _ in explicit_occ:
         if not 0 <= var0 < num_vars:
             raise BadLayoutError(f"occurrence line for unknown variable {var0 + 1}")
-        occ_lists[side][var0] = tuple(occ)
-    return replace(
-        layout,
-        in_occurrences=tuple(occ_lists["in"]),
-        out_occurrences=tuple(occ_lists["out"]),
+    return _clause_order_layout(
+        formula, tuple(sides.get(j, "in") for j in range(len(clauses))), explicit_occ
     )
 
 

@@ -1,6 +1,8 @@
 """Shared test utilities: mask-indexed small graphs, Prüfer decoding,
-seeded random instance builders, and the reference minimum-PMST,
-minimum-SBST and matroid-intersection searches used across the suite."""
+seeded random instance builders, the reference minimum-PMST, minimum-SBST
+and matroid-intersection searches used across the suite, and two
+referees that only the tests need: a Kirchhoff spanning-tree count and a
+subset-DP maximum matching size."""
 
 from __future__ import annotations
 
@@ -10,6 +12,7 @@ from itertools import combinations
 from math import inf
 
 from treematch import WeightedGraph, as_bipartitioned_tree, is_strongly_balanced
+from treematch.errors import TooLargeError
 from treematch.oracle import enumerate_spanning_trees
 
 
@@ -281,3 +284,61 @@ def reference_min_sbst(g: WeightedGraph):
     """``brute_force_min_sbst`` on the same reference: the trees with a
     perfect matching, filtered by the production recognizer."""
     return reference_min_pmst(g, lambda tree: strongly_balanced(g, tree))
+
+
+def spanning_tree_count_determinant(g: WeightedGraph) -> int:
+    """Number of spanning trees via an exact integer determinant of a
+    Laplacian minor (Bareiss elimination).  Cross-checks the enumerator."""
+    n = g.vertex_count
+    if n == 1:
+        return 1
+    lap = [[0] * n for _ in range(n)]
+    for u, v, _ in g.edges:
+        lap[u][u] += 1
+        lap[v][v] += 1
+        lap[u][v] -= 1
+        lap[v][u] -= 1
+    a = [row[1:] for row in lap[1:]]
+    k = n - 1
+    prev = 1
+    for col in range(k - 1):
+        if a[col][col] == 0:
+            swap = next((r for r in range(col + 1, k) if a[r][col] != 0), None)
+            if swap is None:
+                return 0
+            a[col], a[swap] = a[swap], a[col]
+            # A row swap flips the determinant's sign; negating one row
+            # flips it back.
+            a[swap] = [-x for x in a[swap]]
+        for r in range(col + 1, k):
+            for c in range(col + 1, k):
+                a[r][c] = (a[r][c] * a[col][col] - a[r][col] * a[col][c]) // prev
+            a[r][col] = 0
+        prev = a[col][col]
+    return a[k - 1][k - 1]
+
+
+def max_matching_size_exhaustive(g: WeightedGraph) -> int:
+    """Maximum matching size by subset DP; limited to 20 vertices."""
+    n = g.vertex_count
+    if n > 20:
+        raise TooLargeError(f"{n} vertices is past the exhaustive limit of 20")
+    nbr = [0] * n
+    for u, v, _ in g.edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    dp = bytearray(1 << n)
+    for s in range(1, 1 << n):
+        lb = s & -s
+        v = lb.bit_length() - 1
+        rest = s ^ lb
+        best = dp[rest]
+        cand = nbr[v] & rest
+        while cand:
+            ub = cand & -cand
+            val = dp[rest ^ ub] + 1
+            if val > best:
+                best = val
+            cand ^= ub
+        dp[s] = best
+    return dp[(1 << n) - 1]

@@ -45,7 +45,6 @@ from treematch.oracle import (
     brute_force_opt_aug,
     brute_force_sat,
     brute_force_sbst_exists,
-    max_matching_size_exhaustive,
 )
 from treematch.pmst import (
     HostKind,
@@ -290,12 +289,12 @@ def test_06_matching_against_exhaustive():
         pairs = pairs_of(n)
         for mask in range(1 << len(pairs)):
             g = graph_from_mask(n, pairs, mask)
-            assert maximum_matching(g).size == max_matching_size_exhaustive(g), (n, mask)
+            assert maximum_matching(g).size == helpers.max_matching_size_exhaustive(g), (n, mask)
     rng = random.Random(86)
     for trial in range(2000):
         n = rng.choice((7, 8))
         g = random_graph(n, rng.random(), seed=rng.randrange(10**9))
-        assert maximum_matching(g).size == max_matching_size_exhaustive(g), trial
+        assert maximum_matching(g).size == helpers.max_matching_size_exhaustive(g), trial
     assert maximum_matching(petersen()).size == 5
 
 

@@ -510,7 +510,7 @@ class TestGen:
         code, out, _ = run(capsys, ["gen", "cube", "--out", str(path)])
         assert code == 0
         assert out == ""
-        assert parse_graph(path.read_text()).vertex_count == 8
+        assert path.read_text() == format_graph(cube(), comment="gen cube")
 
 
 class TestOracleCommands:
@@ -525,6 +525,26 @@ class TestOracleCommands:
         path = write_graph(tmp_path, "star.graph", g)
         code, out, _ = run(capsys, ["oracle", "minpmst", path])
         assert code == 2
+
+    def test_minpmst_disconnected(self, tmp_path, capsys):
+        path = write_graph(tmp_path, "split.graph", WeightedGraph(4, [(0, 1, 1), (2, 3, 1)]))
+        code, out, _ = run(capsys, ["oracle", "minpmst", path])
+        assert code == 2
+        doc = report(out)
+        assert (doc["status"], doc["reason"]) == ("infeasible", "graph has no spanning tree")
+
+    def test_minsbst_infeasible(self, tmp_path, capsys):
+        g = WeightedGraph(4, [(0, 1, 1), (0, 2, 1), (0, 3, 1)])
+        path = write_graph(tmp_path, "star.graph", g)
+        code, out, _ = run(capsys, ["oracle", "minsbst", path])
+        assert code == 2
+        assert report(out)["reason"] == "no strongly balanced spanning tree"
+
+    def test_optaug_odd_order(self, tmp_path, capsys):
+        path = write_graph(tmp_path, "e5.graph", WeightedGraph(5, []))
+        code, out, _ = run(capsys, ["oracle", "optaug", path])
+        assert code == 2
+        assert report(out)["reason"] == "5 vertices cannot be perfectly matched"
 
     def test_minsbst(self, tmp_path, capsys):
         g = WeightedGraph(4, [(0, 1, 1), (1, 2, 2), (2, 3, 3), (3, 0, 4)])

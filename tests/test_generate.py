@@ -37,6 +37,11 @@ class TestNamedGraphs:
         bip = bipartition_of(g)
         assert bip.vertices_on(bip.side[0]) == (0, 1)
 
+    @pytest.mark.parametrize("a, b", [(0, 3), (3, 0)])
+    def test_complete_bipartite_needs_both_sides(self, a, b):
+        with pytest.raises(ValueError, match="at least one vertex per side"):
+            complete_bipartite(a, b)
+
     def test_cycle_weights(self):
         g = cycle(4, [1, 2, 3, 4])
         assert g.weight(g.edge_index(3, 0)) == 4
@@ -98,6 +103,12 @@ class TestRandomGenerators:
         assert g.vertex_count == 9
         assert all(u < 4 <= v for u, v, _ in g.edges)
         assert random_bipartite(4, 5, 0.7, 3).edges == g.edges
+
+    def test_random_bipartite_validation(self):
+        with pytest.raises(ValueError, match="edge probability"):
+            random_bipartite(2, 2, -0.1, 0)
+        with pytest.raises(ValueError, match="empty weight range"):
+            random_bipartite(2, 2, 0.5, 0, weight_range=(3, 2))
 
     def test_random_cnf_layout_deterministic_and_valid(self):
         a = random_cnf_layout(4, 5, 11)

@@ -208,6 +208,11 @@ class TestBipartitionedTree:
         with pytest.raises(NotATreeError):
             as_bipartitioned_tree(path(4), [0, 1])
 
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_edge_index_out_of_range_rejected(self, bad):
+        with pytest.raises(NotATreeError, match=f"edge index {bad} out of range"):
+            as_bipartitioned_tree(path(4), [0, 1, bad])
+
     def test_disconnected_selection_rejected(self):
         g = WeightedGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
         # 3 edges but one repeated pair across a cycle: {0-1, 2-3, 0-3} is

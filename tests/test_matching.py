@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from helpers import graph_from_mask, pairs_of, random_tree_edges
+from helpers import graph_from_mask, max_matching_size_exhaustive, pairs_of, random_tree_edges
 from treematch import (
     Matching,
     OddDeficiencyError,
@@ -20,7 +20,6 @@ from treematch import (
     tree_perfect_matching,
 )
 from treematch.generate import complete, petersen
-from treematch.oracle import max_matching_size_exhaustive
 
 
 def path(n):

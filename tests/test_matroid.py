@@ -59,6 +59,12 @@ class TestPartitionMatroid:
         with pytest.raises(ValueError):
             PartitionMatroid([[0, 1], [1, 2]], [1, 1])
 
+    def test_capacities_must_match_parts_and_be_nonnegative(self):
+        with pytest.raises(ValueError, match="one capacity per part"):
+            PartitionMatroid([[0, 1], [2]], [1])
+        with pytest.raises(ValueError, match="capacities must be nonnegative"):
+            PartitionMatroid([[0, 1], [2]], [1, -1])
+
 
 class TestMatroidAxioms:
     """Property checks on sampled instances: hereditary + exchange."""
@@ -121,6 +127,10 @@ class TestMinWeightCommonBase:
 
     def test_k_zero_gives_empty(self):
         assert min_weight_common_base(free(2), free(2), [1, 1], 0) == frozenset()
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError, match="size must be nonnegative"):
+            min_weight_common_base(free(2), free(2), [1, 1], -1)
 
     def test_ground_mismatch_rejected(self):
         with pytest.raises(GroundSetMismatchError):

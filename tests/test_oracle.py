@@ -21,6 +21,7 @@ from treematch import (
     reduce_sat_to_sbst,
     replace_leaves,
 )
+from treematch import oracle
 from treematch.generate import (
     circular_ladder,
     complete,
@@ -36,19 +37,19 @@ from treematch.oracle import (
     brute_force_sat,
     brute_force_sbst_exists,
     enumerate_spanning_trees,
-    max_matching_size_exhaustive,
     sb_tree_search,
-    spanning_tree_count_determinant,
 )
 
 from helpers import (
     graph_from_mask,
     max_degree,
+    max_matching_size_exhaustive,
     pairs_of,
     random_connected_bipartite,
     random_subcubic,
     reference_min_pmst,
     reference_min_sbst,
+    spanning_tree_count_determinant,
     strongly_balanced,
 )
 
@@ -326,6 +327,35 @@ class TestBruteForceMinPmst:
                     dense += 1
         assert checked == 26743
         assert dense == 19164
+
+    def test_sbst_filter_rejects_trees_on_sparse_eight_vertex_graphs(self, monkeypatch):
+        # On 6 vertices every tree with a perfect matching is strongly
+        # balanced, so the test above never sees the filter say no.  Here:
+        # the star from 0 to 1-4 (so the dense route runs) plus any 4 of
+        # the other 24 pairs, connected, weighted 1 + position mod 3.
+        test = oracle._matched_tree_is_strongly_balanced
+        rejections = [0]
+
+        def counting(g, tree):
+            ok = test(g, tree)
+            rejections[0] += not ok
+            return ok
+
+        monkeypatch.setattr(oracle, "_matched_tree_is_strongly_balanced", counting)
+        pairs = pairs_of(8)
+        graphs = with_rejections = 0
+        for extra in combinations(range(4, 28), 4):
+            chosen = (0, 1, 2, 3) + extra
+            g = WeightedGraph(8, [(*pairs[b], 1 + i % 3) for i, b in enumerate(chosen)])
+            if not is_connected(g):
+                continue
+            graphs += 1
+            before = rejections[0]
+            assert brute_force_min_sbst(g) == reference_min_sbst(g)[0], extra
+            with_rejections += rejections[0] > before
+        assert graphs == 3975
+        assert with_rejections == 216
+        assert rejections[0] == 288
 
     def test_equals_filtered_enumeration_on_seeded_larger_graphs(self):
         # 300 graphs on 7 or 8 vertices; every other one has two weights

@@ -1,5 +1,7 @@
 """Hardness reductions and their witness maps."""
 
+from dataclasses import replace
+
 import pytest
 
 from treematch import (
@@ -324,6 +326,17 @@ class TestCnfLayout:
         with pytest.raises(BadLayoutError):
             CnfLayout(f, ("in",), (((0, 0), (0, 1), (0, 2)), ()), ((), ()))
 
+    def test_one_list_per_variable_and_side(self):
+        f = CnfFormula(1, ((1, 1, 1),))
+        with pytest.raises(BadLayoutError, match="one occurrence list per variable"):
+            CnfLayout(f, ("in",), (((0, 0), (0, 1), (0, 2)),), ())
+
+    @pytest.mark.parametrize("bad", [(1, 0), (0, 3), (-1, 0)])
+    def test_occurrence_in_range(self, bad):
+        f = CnfFormula(1, ((1, 1, 1),))
+        with pytest.raises(BadLayoutError, match=r"is out of range"):
+            CnfLayout(f, ("in",), (((0, 0), (0, 1), (0, 2), bad),), ((),))
+
 
 class TestCnfLayoutFiles:
     def test_parse_plain_dimacs(self):
@@ -495,6 +508,27 @@ class TestSatReduction:
         assert is_strongly_balanced(t) is None  # guards the expectation below
         with pytest.raises(NotStronglyBalancedError):
             extract_assignment_from_tree(red, tree)
+
+    def test_extract_rejects_anchor_keeping_both_cycle_edges(self):
+        # A reduction whose tags disagree with its graph: the tag x1.in0
+        # now names x1's neighbour on the start gadget, whose edge the
+        # tree keeps along with the one to x1.out0.
+        red = reduce_sat_to_sbst(default_layout(CnfFormula(1, ((1, 1, 1),))))
+        tree = map_assignment_to_sb_tree(red, (1,))
+        tags = list(red.tags)
+        a, b = red.vertex("x1.in0"), red.vertex("start.p0")
+        tags[a], tags[b] = tags[b], tags[a]
+        with pytest.raises(MalformedTreeError, match="keeps both cycle edges"):
+            extract_assignment_from_tree(replace(red, tags=tuple(tags)), tree)
+
+    def test_extract_rejects_an_assignment_that_fails_the_formula(self):
+        # The tree of x1 = 1 read against the formula (-x1): the layout
+        # no longer matches the graph it was reduced to.
+        red = reduce_sat_to_sbst(default_layout(CnfFormula(1, ((1, 1, 1),))))
+        tree = map_assignment_to_sb_tree(red, (1,))
+        other = replace(red, layout=default_layout(CnfFormula(1, ((-1, -1, -1),))))
+        with pytest.raises(MalformedTreeError, match="does not satisfy the formula"):
+            extract_assignment_from_tree(other, tree)
 
     def test_unsat_formula_has_no_tree(self):
         lay = default_layout(CnfFormula(1, ((1, 1, 1), (-1, -1, -1))))
