@@ -27,20 +27,38 @@ of a sink, an element the second matroid can add, and let y be the
 lightest (weight, id) element that both matroids can add.  If low >=
 w(y), every sink lies at least w(y) from the source.  Every path other
 than the single arc source -> y has three or more arcs, so the search
-would take that arc.  Such a round adds y at once, in O(g) beyond the
-two ``prepare`` calls; on the sbst-bipartite benchmark's inputs about
-nine rounds in ten are of this kind.
+would take that arc.  Such a round adds y at once.  The two matroid
+contexts take y in place (``add``; the forest re-roots the smaller of
+the two trees y links), and two heaps with lazy deletion hold the
+elements both matroids can add by (weight, id) and the sinks by
+(potential, id), so a direct round costs O(log g) beyond that update.
+On the sbst-bipartite benchmark's inputs about nine rounds in ten are
+of this kind.
 
-The other rounds build the whole digraph and search it.  The cost part
-of each distance, ``dist // scale``, is exact because the arc count lies
-in 0..scale-1.  With cap the distance of the chosen sink minus low,
-each element's potential becomes min(distance, potential + cap), where
-an unreached element counts as infinitely far.  The new potentials are
-feasible and tight along the chosen path and on its last arc to the
-virtual sink, whose potential is low.  An element that the path toggles then shifts by
-its old cost: -w when it enters I, +w when it leaves.  This keeps the
-potentials feasible in the next round's digraph.  A reached element
-that lies nearer than its potential means a bug, and the round raises.
+The other rounds run Dijkstra's algorithm on reduced keys.  An arc
+u -> v with combined key c has the reduced key c + (pot[u] - pot[v]) *
+scale, at least 1 when the potentials are feasible; a scanned arc below
+1 raises.  Nodes are settled in order of reduced distance, so every
+tight in-arc's source is settled before its head, and each node keeps
+as its predecessor the smallest source id among its tight in-arcs: ties
+between equally short paths go to smaller node ids.  A node's out-arcs
+are made when it is settled: the source scans once for the elements the
+first matroid can add, y outside I asks the second matroid for its
+circuit, and x in I asks the first for ``entering(x)``, the elements
+outside I whose circuit passes through x.  A sink's distance is its
+reduced distance plus at least low, so the search stops once the least
+reduced key left exceeds the best sink's distance minus low.
+
+The cost part of each distance, ``dist // scale``, is exact because the
+arc count lies in 0..scale-1.  With cap the distance of the chosen sink
+minus low, each element's potential becomes min(distance, potential +
+cap).  An element the search did not settle lies at least cap beyond
+its potential, as an unreached one does, and gets potential + cap.  The
+new potentials are feasible and tight along the chosen path and on its
+last arc to the virtual sink, whose potential is low.  An element that
+the path toggles then shifts by its old cost: -w when it enters I, +w
+when it leaves.  This keeps the potentials feasible in the next round's
+digraph.
 
 The digraph leaves out the textbook arcs from I into each y the first
 matroid can absorb, and from each sink into I.  A path to x in I costs
@@ -49,19 +67,11 @@ y never beats the arc source -> y.  Feasibility on the arc from the
 least-potential sink into x gives pot[x] <= low - w(x), so a node
 reached through a sink-to-I arc lies at least cap beyond its potential
 and gets pot + cap, as if unreached; the chosen path cannot use one.
-
-Shortest paths come from a label-correcting search: queue-based
-Bellman-Ford (SPFA) over per-node out-arc lists.  Leaving-arc costs are
-negative, and the tie rule needs every tight in-arc of a node, so a
-reduced-cost Dijkstra would not save work while it still builds every
-arc.  Each node keeps as its predecessor the smallest source id among
-its tight in-arcs, so ties between equally short paths go to smaller
-node ids.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from heapq import heapify, heappop, heappush
 from math import inf
 from typing import Iterable, Sequence
 
@@ -101,7 +111,8 @@ class _ForestContext:
     """Rooted-forest view of an independent edge set.
 
     The circuit of I + y is y plus the tree path between y's endpoints,
-    found by walking parent pointers.
+    found by walking parent pointers.  ``comp[v]`` is the root of v's
+    tree, and ``size`` counts a tree's vertices at its root.
     """
 
     def __init__(self, graph: WeightedGraph, selection: Sequence[int]):
@@ -111,25 +122,38 @@ class _ForestContext:
         self.parent_vertex = [-1] * n
         self.parent_edge = [-1] * n
         self.depth = [0] * n
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        self.size = [0] * n
+        self.adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        self._preorder: tuple[list[int], list[int], list[int]] | None = None
         for i in selection:
             u, v, _ = graph.edges[i]
-            adj[u].append((v, i))
-            adj[v].append((u, i))
+            self.adj[u].append((v, i))
+            self.adj[v].append((u, i))
         for r in range(n):
-            if self.comp[r] != -1:
-                continue
-            self.comp[r] = r
-            stack = [r]
-            while stack:
-                x = stack.pop()
-                for y, e in adj[x]:
-                    if self.comp[y] == -1:
-                        self.comp[y] = r
-                        self.parent_vertex[y] = x
-                        self.parent_edge[y] = e
-                        self.depth[y] = self.depth[x] + 1
-                        stack.append(y)
+            if self.comp[r] == -1:
+                self.comp[r] = r
+                self.size[r] = 1 + self._hang(r, r)
+
+    def _hang(self, top: int, root: int) -> int:
+        """Hang below ``top``, in the tree rooted at ``root``, every vertex
+        that ``top`` reaches through vertices not yet in that tree; return
+        how many there are."""
+        comp, pv, pe, depth, adj = (
+            self.comp, self.parent_vertex, self.parent_edge, self.depth, self.adj
+        )
+        count = 0
+        stack = [top]
+        while stack:
+            x = stack.pop()
+            for y, e in adj[x]:
+                if comp[y] != root:
+                    comp[y] = root
+                    pv[y] = x
+                    pe[y] = e
+                    depth[y] = depth[x] + 1
+                    stack.append(y)
+                    count += 1
+        return count
 
     def addable(self, y: int) -> bool:
         u, v, _ = self.graph.edges[y]
@@ -144,6 +168,73 @@ class _ForestContext:
             path.append(self.parent_edge[u])
             u = self.parent_vertex[u]
         return path
+
+    def add(self, y: int) -> None:
+        """Link the two trees that addable edge y joins: the smaller one
+        is re-rooted at its endpoint of y and hung below the other."""
+        u, v, _ = self.graph.edges[y]
+        if self.size[self.comp[u]] > self.size[self.comp[v]]:
+            u, v = v, u
+        root = self.comp[v]
+        self.size[root] += self.size[self.comp[u]]
+        self.comp[u] = root
+        self.parent_vertex[u] = v
+        self.parent_edge[u] = y
+        self.depth[u] = self.depth[v] + 1
+        self._hang(u, root)
+        self.adj[u].append((v, y))
+        self.adj[v].append((u, y))
+        self._preorder = None
+
+    def entering(self, x: int) -> list[int]:
+        """The edges outside I whose circuit in I + y contains tree edge
+        x: those crossing the cut that x makes in its tree, found from the
+        smaller side of the cut."""
+        if self._preorder is None:
+            self._preorder = self._index()
+        tin, tout, order = self._preorder
+        a, b, _ = self.graph.edges[x]
+        c = a if tin[a] > tin[b] else b  # the child end of x
+        lo, hi = tin[c], tout[c]
+        root = self.comp[c]
+        first, last = tin[root], tout[root]
+        below = 2 * (hi - lo) <= last - first
+        adjacency = self.graph.adjacency
+        if below:
+            return [
+                e for v in order[lo:hi] for e, w in adjacency[v]
+                if not lo <= tin[w] < hi and first <= tin[w] < last and e != x
+            ]
+        return [
+            e for v in order[first:lo] + order[hi:last] for e, w in adjacency[v]
+            if lo <= tin[w] < hi and e != x
+        ]
+
+    def _index(self) -> tuple[list[int], list[int], list[int]]:
+        """Preorder of the forest: ``order[tin[v]:tout[v]]`` is v's
+        subtree, and each tree is one block of ``order``."""
+        n = self.graph.vertex_count
+        pv, adj = self.parent_vertex, self.adj
+        order: list[int] = []
+        for r in range(n):
+            if pv[r] != -1:
+                continue
+            stack = [r]
+            while stack:
+                x = stack.pop()
+                order.append(x)
+                for y, _ in adj[x]:
+                    if pv[y] == x:
+                        stack.append(y)
+        tin = [0] * n
+        for i, v in enumerate(order):
+            tin[v] = i
+        tout = [i + 1 for i in tin]
+        for v in reversed(order):
+            p = pv[v]
+            if p != -1 and tout[v] > tout[p]:
+                tout[p] = tout[v]
+        return tin, tout, order
 
 
 class PartitionMatroid:
@@ -188,9 +279,7 @@ class _PartitionContext:
         self.counts = [0] * len(m.parts)
         self.members: list[list[int]] = [[] for _ in m.parts]
         for x in selection:
-            i = m.part_of[x]
-            self.counts[i] += 1
-            self.members[i].append(x)
+            self.add(x)
 
     def addable(self, y: int) -> bool:
         i = self.m.part_of[y]
@@ -200,43 +289,19 @@ class _PartitionContext:
         # The circuit of I + y is y plus I's elements in y's part.
         return self.members[self.m.part_of[y]]
 
+    def add(self, y: int) -> None:
+        i = self.m.part_of[y]
+        self.counts[i] += 1
+        self.members[i].append(y)
 
-def _shortest_paths(
-    out: list[list[tuple[int, int]]], start: int
-) -> tuple[list[float], list[int]]:
-    """Shortest combined keys from ``start`` and, per node, the smallest
-    source id among its tight in-arcs (-1 where there is none).
-
-    Shortest keys are unique, so the predecessors do not depend on the
-    order of the search.  The exchange digraph of an extreme selection
-    has no negative-cost cycle, so no node is queued more than
-    ``len(out)`` times; exceeding that means a bug, not a slow input.
-    """
-    node_count = len(out)
-    dist: list[float] = [inf] * node_count
-    pred = [-1] * node_count
-    queued = [False] * node_count
-    visits = [0] * node_count
-    dist[start] = 0
-    queue = deque([start])
-    while queue:
-        s = queue.popleft()
-        queued[s] = False
-        ds = dist[s]
-        for d, key in out[s]:
-            nd = ds + key
-            if nd < dist[d]:
-                dist[d] = nd
-                pred[d] = s
-                if not queued[d]:
-                    visits[d] += 1
-                    if visits[d] > node_count:
-                        raise AssertionError("negative-cost cycle in exchange digraph")
-                    queued[d] = True
-                    queue.append(d)
-            elif nd == dist[d] and s < pred[d]:
-                pred[d] = s
-    return dist, pred
+    def entering(self, x: int) -> list[int]:
+        """The elements outside I whose circuit in I + y contains x: the
+        rest of x's part once the part is full."""
+        i = self.m.part_of[x]
+        if self.counts[i] < self.m.capacities[i]:
+            return []
+        inside = set(self.members[i])
+        return [y for y in self.m.parts[i] if y not in inside]
 
 
 def min_weight_common_base(
@@ -250,8 +315,8 @@ def min_weight_common_base(
 
     k rounds of shortest augmenting paths.  A round whose potentials
     prove that the lightest element addable to both matroids is the
-    shortest path adds it directly.  Every other round builds the
-    exchange digraph, runs the label-correcting search and updates the
+    shortest path adds it directly.  Every other round searches the
+    exchange digraph with Dijkstra on reduced keys and updates the
     potentials; see the module docstring.  Combined integer keys order
     paths by cost and then by arc count, and every node's predecessor is
     the smallest source id among its tight in-arcs, so the result is
@@ -269,88 +334,140 @@ def min_weight_common_base(
     if k > g:
         return None
 
-    src_node = g
-    node_count = g + 1
     scale = 2 * g + 4  # longer than any simple path's arc count
     in_set = [False] * g
     selection: list[int] = []
     pot = list(weights)  # the source's potential is 0
+    fresh = True  # the contexts and heaps need rebuilding
 
     for _ in range(k):
-        ctx1 = m1.prepare(selection)
-        ctx2 = m2.prepare(selection)
-        low = inf  # least potential of a sink
-        direct = -1  # lightest (weight, id) element addable in both
-        for y in range(g):
-            if in_set[y] or not ctx2.addable(y):
-                continue
-            if pot[y] < low:
-                low = pot[y]
-            if ctx1.addable(y) and (direct == -1 or weights[y] < weights[direct]):
-                direct = y
-        if direct != -1 and low >= weights[direct]:
-            # Every sink lies at least its potential, so at least
-            # w(direct), from the source, and any path but the one arc
-            # src -> direct has three or more arcs: the search would
-            # pick that arc.  The other potentials stay feasible as
-            # they are.
-            toggled = [direct]
-        else:
-            out: list[list[tuple[int, int]]] = [[] for _ in range(node_count)]
-            sinks: list[int] = []
-            for y in range(g):
-                if in_set[y]:
-                    continue
-                enter = weights[y] * scale + 1
-                if ctx1.addable(y):
-                    out[src_node].append((y, enter))
-                else:
-                    for x in ctx1.swap_candidates(y):
-                        out[x].append((y, enter))
-                if ctx2.addable(y):
-                    sinks.append(y)
-                else:
-                    for x in ctx2.swap_candidates(y):
-                        out[y].append((x, -weights[x] * scale + 1))
-            if not out[src_node] or not sinks:
-                return None
+        if fresh:
+            ctx1 = m1.prepare(selection)
+            ctx2 = m2.prepare(selection)
+            sinks = [(pot[y], y) for y in range(g) if not in_set[y] and ctx2.addable(y)]
+            both = [(weights[y], y) for _, y in sinks if ctx1.addable(y)]
+            heapify(sinks)
+            heapify(both)
+            fresh = False
+        # Adding elements only shrinks what either matroid can add, and
+        # sinks keep their potentials until a full round, so stale heap
+        # entries are dropped when they surface.
+        while sinks and (in_set[sinks[0][1]] or not ctx2.addable(sinks[0][1])):
+            heappop(sinks)
+        while both and (
+            in_set[both[0][1]] or not ctx1.addable(both[0][1]) or not ctx2.addable(both[0][1])
+        ):
+            heappop(both)
+        if not sinks:
+            return None
+        low = sinks[0][0]  # least potential of a sink
+        if both and low >= both[0][0]:
+            # Every sink lies at least its potential, so at least w(y),
+            # from the source, and any path but the one arc src -> y has
+            # three or more arcs: the search would pick that arc.  The
+            # other potentials stay feasible as they are.
+            y = heappop(both)[1]
+            ctx1.add(y)
+            ctx2.add(y)
+            in_set[y] = True
+            pot[y] -= weights[y]
+            selection.append(y)
+            continue
 
-            dist, pred = _shortest_paths(out, src_node)
-            best_sink = -1
-            for y in sinks:
-                if dist[y] < inf and (best_sink == -1 or dist[y] < dist[best_sink]):
-                    best_sink = y
-            if best_sink == -1:
-                return None
-
-            # Combined keys make every predecessor walk a simple path.
-            node = best_sink
-            toggled = []
-            while node != src_node:
-                toggled.append(node)
-                if pred[node] == -1:
-                    raise AssertionError("shortest-path keys admit no predecessor")
-                node = pred[node]
-
-            # The arc count of a key lies in 0..scale-1, so floor division
-            # recovers the path's weight exactly.  cap is measured from low,
-            # the virtual sink's potential, not from the chosen sink's own:
-            # then no sink ends below the chosen one, which the next round's
-            # arcs into it need.
-            cap = dist[best_sink] // scale - low
-            for v in range(g):
-                if dist[v] == inf:
-                    pot[v] += cap
-                    continue
-                reduced = dist[v] // scale - pot[v]
-                if reduced < 0:
-                    raise AssertionError("potentials are not feasible")
-                pot[v] += min(reduced, cap)
-        for x in toggled:
+        path = _cheapest_path(ctx1, ctx2, weights, pot, in_set, low, scale)
+        if path is None:
+            return None
+        for x in path:
             pot[x] += weights[x] if in_set[x] else -weights[x]
             in_set[x] = not in_set[x]
         selection = [x for x in range(g) if in_set[x]]
+        fresh = True
 
     if not (m1.is_independent(selection) and m2.is_independent(selection)):
         raise AssertionError("intersection result is not independent in both matroids")
     return frozenset(selection)
+
+
+def _cheapest_path(
+    ctx1: _ForestContext | _PartitionContext,
+    ctx2: _ForestContext | _PartitionContext,
+    weights: Sequence[int],
+    pot: list[int],
+    in_set: list[bool],
+    low: int,
+    scale: int,
+) -> list[int] | None:
+    """One full round: the shortest path from the source to a sink, its
+    nodes listed from the sink back, or None when no sink is reachable.
+    Moves ``pot`` to the round's distances capped as the module
+    docstring says; toggling the path is left to the caller."""
+    g = len(weights)
+    src = g
+    # An arc into d costs +w(d) when d enters I and -w(d) when it leaves,
+    # so its reduced key, less pot[u] * scale for its tail u, depends on d
+    # alone.
+    into = [
+        ((-w if i else w) - p) * scale + 1 for w, p, i in zip(weights, pot, in_set)
+    ]
+    dist = [inf] * (g + 1)  # reduced keys
+    pred = [-1] * (g + 1)
+    settled = [False] * (g + 1)
+    dist[src] = 0
+    heap = [(0, src)]
+    best, best_dist = -1, inf  # best_dist is unreduced
+    bound = inf  # no unsettled sink beats best once the heap passes this
+    while heap and heap[0][0] <= bound:
+        ds, s = heappop(heap)
+        if settled[s]:
+            continue
+        settled[s] = True
+        if s == src:
+            heads = [y for y in range(g) if not in_set[y] and ctx1.addable(y)]
+        elif in_set[s]:
+            heads = ctx1.entering(s)
+        elif ctx2.addable(s):
+            full = ds + pot[s] * scale
+            if full < best_dist or (full == best_dist and s < best):
+                best, best_dist = s, full
+                bound = full - low * scale
+            continue
+        else:
+            heads = ctx2.swap_candidates(s)
+        base = ds + (0 if s == src else pot[s] * scale)
+        for d in heads:
+            nd = base + into[d]
+            if nd <= ds:
+                raise AssertionError("potentials are not feasible")
+            if nd < dist[d]:
+                dist[d] = nd
+                pred[d] = s
+                heappush(heap, (nd, d))
+            elif nd == dist[d] and s < pred[d]:
+                pred[d] = s
+    if best == -1:
+        return None
+
+    # Combined keys make every predecessor walk a simple path.
+    node = best
+    path = []
+    while node != src:
+        path.append(node)
+        if pred[node] == -1:
+            raise AssertionError("shortest-path keys admit no predecessor")
+        node = pred[node]
+
+    # The arc count of a key lies in 0..scale-1, so floor division
+    # recovers the reduced weight exactly.  cap is measured from low, the
+    # virtual sink's potential, not from the chosen sink's own: then no
+    # sink ends below the chosen one, which the next round's arcs into it
+    # need.
+    cap = best_dist // scale - low
+    for v in range(g):
+        if not settled[v]:
+            pot[v] += cap
+            continue
+        reduced = dist[v] // scale
+        if reduced < 0:
+            raise AssertionError("potentials are not feasible")
+        pot[v] += min(reduced, cap)
+    return path

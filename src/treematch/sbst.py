@@ -49,11 +49,11 @@ def is_strongly_balanced(tree: BipartitionedTree) -> SbstCertificate | None:
     """Check the degree pattern side by side.
 
     The side containing vertex 0 is tried first, so when both sides
-    qualify the certificate names that one.  Odd order gives None at
+    qualify the certificate names that one.  Unequal sides give None at
     once: each tree edge has one end on the plus side, so k plus vertices
-    of this pattern carry 2k - 1 = n - 1 edges, and n is even.
+    of this pattern carry 2k - 1 = n - 1 edges, and k = n/2.
     """
-    if tree.graph.vertex_count % 2:
+    if 2 * tree.bipartition.side.count(PLUS) != tree.graph.vertex_count:
         return None
     for side in (PLUS, MINUS):
         members = tree.bipartition.vertices_on(side)

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from itertools import combinations
 
 import pytest
 
-from helpers import graph_from_mask, pairs_of, reference_common_base
+from helpers import graph_from_mask, pairs_of, planted_sb_bipartite, reference_common_base
 from treematch import (
     GraphicMatroid,
     GroundSetMismatchError,
@@ -16,6 +17,7 @@ from treematch import (
     min_weight_common_base,
 )
 from treematch.generate import complete, cycle
+from treematch.sbst import min_sbst_bipartite
 
 
 def free(n):
@@ -102,6 +104,78 @@ class TestMatroidAxioms:
                             assert any(
                                 m.is_independent(a | {e}) for e in b - a
                             ), (a, b)
+
+
+def sparse_graph(rng, n):
+    """Random graph on n vertices with edge density drawn per graph."""
+    density = rng.random() * min(1.0, 6 / n)
+    pairs = [p for p in pairs_of(n) if rng.random() < density]
+    return WeightedGraph(n, [(u, v, 1) for u, v in pairs])
+
+
+def star_partition(rng, g):
+    """Partition matroid capping, for each vertex, the edges assigned to
+    it (each edge goes to one endpoint picked by a random coloring)."""
+    color = [rng.randint(0, 1) for _ in range(g.vertex_count)]
+    parts = {}
+    for e, (u, v, _) in enumerate(g.edges):
+        parts.setdefault(u if color[u] == 0 else v, []).append(e)
+    parts = list(parts.values())
+    return PartitionMatroid(parts, [rng.randint(1, 3) for _ in parts])
+
+
+class TestContexts:
+    """``add`` keeps a context equal to a fresh ``prepare``, and
+    ``entering`` inverts ``swap_candidates``."""
+
+    def assert_like_fresh(self, m, ctx, selection):
+        fresh = m.prepare(selection)
+        chosen = set(selection)
+        for y in range(m.ground_size):
+            assert ctx.addable(y) == fresh.addable(y), (selection, y)
+            if y not in chosen and not fresh.addable(y):
+                assert set(ctx.swap_candidates(y)) == set(fresh.swap_candidates(y))
+        for c in (ctx, fresh):
+            for x in selection:
+                want = {
+                    y for y in range(m.ground_size)
+                    if y not in chosen and not c.addable(y) and x in c.swap_candidates(y)
+                }
+                got = c.entering(x)
+                assert len(got) == len(want) and set(got) == want, (selection, x)
+
+    def grow(self, rng, m):
+        """Add random addable elements one at a time, starting from a
+        prepared random independent set, checking after every add."""
+        order = list(range(m.ground_size))
+        rng.shuffle(order)
+        selection = []
+        for y in order[: rng.randint(0, len(order))]:
+            if m.is_independent(selection + [y]):
+                selection.append(y)
+        ctx = m.prepare(selection)
+        self.assert_like_fresh(m, ctx, selection)
+        # Each check calls entering(), so each add must also drop the
+        # index that call built.
+        for y in order:
+            if y not in selection and ctx.addable(y):
+                ctx.add(y)
+                selection.append(y)
+                self.assert_like_fresh(m, ctx, selection)
+
+    def test_forest_context(self):
+        rng = random.Random("forest contexts")
+        for _ in range(60):
+            g = sparse_graph(rng, rng.randint(1, 30))
+            self.grow(rng, GraphicMatroid(g))
+
+    def test_partition_context(self):
+        rng = random.Random("partition contexts")
+        for _ in range(60):
+            g = sparse_graph(rng, rng.randint(2, 30))
+            if g.edge_count:
+                self.grow(rng, random_partition(rng, g.edge_count))
+                self.grow(rng, star_partition(rng, g))
 
 
 class TestMinWeightCommonBase:
@@ -252,3 +326,87 @@ class TestAgainstReference:
                         g.edges, weights, k,
                     )
                     calls += 1
+
+    MEDIUM = {"mixed sign": WEIGHTS["mixed sign"], "tied": WEIGHTS["tied"]}
+
+    @pytest.mark.parametrize("kind", sorted(MEDIUM))
+    def test_same_sets_on_medium_graphs(self, kind):
+        """n = 12-30: deep trees get re-rooted, and direct and full
+        rounds alternate, which the small corpus rarely reaches.  k runs
+        over the rank, one past it and two random sizes below it."""
+        rng = random.Random(f"medium reference:{kind}")
+        draw = self.MEDIUM[kind]
+        for _ in range(30):
+            g = sparse_graph(rng, rng.randint(12, 30))
+            ground = g.edge_count
+            if ground < 2:
+                continue
+            weights = [draw(rng) for _ in range(ground)]
+            graphic = GraphicMatroid(g)
+            stars = star_partition(rng, g)
+            other = random_partition(rng, ground)
+            for m1, m2 in ((graphic, stars), (stars, graphic), (stars, other)):
+                lo, hi = 0, ground  # the rank lies in lo..hi
+                while lo < hi:
+                    mid = (lo + hi + 1) // 2
+                    if min_weight_common_base(m1, m2, weights, mid) is None:
+                        hi = mid - 1
+                    else:
+                        lo = mid
+                sizes = {lo, lo + 1} | {rng.randint(1, lo) for _ in range(2) if lo}
+                for k in sorted(sizes):
+                    want = reference_common_base(m1, m2, weights, k)
+                    assert (want is None) == (k > lo)
+                    assert min_weight_common_base(m1, m2, weights, k) == want, (
+                        g.edges, weights, k,
+                    )
+
+    def test_pinned_large_sbst_tree(self):
+        """planted_sb_bipartite(random.Random(200), 100, 3000): n = 200,
+        m = 3000, too large for the reference.  The digest of its minimum
+        strongly balanced tree's sorted edge indices was taken from the
+        label-correcting (SPFA) search that Dijkstra replaced."""
+        g = planted_sb_bipartite(random.Random(200), 100, 3000)
+        res = min_sbst_bipartite(g)
+        assert res.total_weight == 24
+        digest = hashlib.sha256(" ".join(map(str, sorted(res.tree))).encode())
+        assert digest.hexdigest() == (
+            "6a3fcae55424bdf8f6f0411dc9049e6945401df126ed59596d510e9afcd8ae49"
+        )
+
+    # Found by a seeded search for inputs on which the search's tie rules
+    # decide the set: the early stop waiting for equally near sinks and
+    # picking the smallest id among them (the first), and each node's
+    # predecessor being its smallest tight in-arc source (the second).
+    # Each entry: vertex count, (u, v, weight) edges, the first matroid's
+    # parts and capacities, the second's (None for the graphic one).
+    TIE_CASES = {
+        "sink ties": (
+            13,
+            [(0, 2, 1), (0, 6, 0), (0, 11, 2), (1, 7, 0), (2, 8, 2), (2, 12, 1),
+             (3, 7, 0), (4, 10, 1), (4, 12, 1), (5, 12, 2), (6, 10, 1), (7, 9, 1)],
+            ([[0, 1, 2], [3], [4, 5], [6], [7], [8, 9], [10], [11]],
+             [1, 1, 1, 2, 3, 2, 1, 2]),
+            ([[11, 3], [4], [7, 5, 9, 1, 6], [10], [8], [0, 2]], [1, 1, 4, 1, 0, 1]),
+        ),
+        "predecessor ties": (
+            7,
+            [(0, 2, 9), (0, 3, 8), (0, 5, 3), (0, 6, 0), (1, 3, -1), (1, 4, 3),
+             (1, 5, 0), (1, 6, 2), (2, 3, 1), (2, 4, -4), (3, 4, 2), (4, 5, 9),
+             (4, 6, -3), (5, 6, 5)],
+            ([[8, 9], [5], [4], [12, 10, 13, 0, 7], [11], [6, 3, 1], [2]],
+             [0, 1, 0, 2, 1, 3, 1]),
+            None,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(TIE_CASES))
+    def test_same_sets_where_ties_decide(self, case):
+        n, edges, first, second = self.TIE_CASES[case]
+        g = WeightedGraph(n, edges)
+        weights = [w for _, _, w in edges]
+        m1 = PartitionMatroid(*first)
+        m2 = GraphicMatroid(g) if second is None else PartitionMatroid(*second)
+        for k in range(g.edge_count + 1):
+            want = reference_common_base(m1, m2, weights, k)
+            assert min_weight_common_base(m1, m2, weights, k) == want, k
