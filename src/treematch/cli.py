@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 from typing import Sequence
 
 from . import generate
@@ -72,8 +73,96 @@ def _load(path: str) -> WeightedGraph:
     return parse_graph(_read_text(path))
 
 
+_ENCODE = json.JSONEncoder().encode
+_LEAVES = frozenset((str, int, float, bool, type(None)))
+
+
+def _leaf(value) -> str:
+    """The JSON text of a str, int, float, bool or None."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if type(value) is int:
+        return str(value)
+    return _ENCODE(value)
+
+
 def _json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """``json.dumps(doc, indent=2) + "\\n"``, byte for byte.
+
+    With ``indent`` set, the stdlib falls back to its pure-Python encoder;
+    this loop over an explicit stack writes the same text faster.  A list
+    of leaves (str, int, float, bool, None), or a list of non-empty int
+    lists, is written with one ``str.join``.  None, bools and ints are
+    written directly; strings, floats and keys go to ``json.JSONEncoder``.
+    Dict keys must be str, which is all the CLI writes, and the doc must be
+    a tree (json.dumps rejects cycles, this loop would not end).
+    """
+    out: list[str] = []
+    # (value, depth); depth -1 marks text to copy as it is.
+    stack: list[tuple] = [(doc, 0)]
+    while stack:
+        value, depth = stack.pop()
+        if depth < 0:
+            out.append(value)
+            continue
+        if isinstance(value, dict):
+            if not value:
+                out.append("{}")
+                continue
+            for key in value:
+                if not isinstance(key, str):
+                    raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            opener, closer = "{", "}"
+            heads = [_ENCODE(key) + ": " for key in value]
+            children = list(value.values())
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                out.append("[]")
+                continue
+            text = _flat_list(value, depth)
+            if text is not None:
+                out.append(text)
+                continue
+            opener, closer = "[", "]"
+            heads = [""] * len(value)
+            children = value
+        else:
+            out.append(_leaf(value))
+            continue
+        inner = "\n" + "  " * (depth + 1)
+        out.append(opener)
+        stack.append(("\n" + "  " * depth + closer, -1))
+        for i in range(len(children) - 1, -1, -1):
+            child = children[i]
+            head = ("," if i else "") + inner + heads[i]
+            if type(child) in _LEAVES:
+                stack.append((head + _leaf(child), -1))
+            else:
+                stack.append((child, depth + 1))
+                stack.append((head, -1))
+    return "".join(out) + "\n"
+
+
+def _flat_list(xs: list | tuple, depth: int) -> str | None:
+    """The indented text of a non-empty list of leaves or of non-empty int
+    lists at ``depth``, or None for any other list."""
+    inner = "\n" + "  " * (depth + 1)
+    outer = "\n" + "  " * depth + "]"
+    kinds = set(map(type, xs))
+    if kinds <= _LEAVES:
+        return "[" + inner + ("," + inner).join(map(str if kinds == {int} else _leaf, xs)) + outer
+    if kinds <= {list, tuple} and all(xs) and set(map(type, chain.from_iterable(xs))) == {int}:
+        row_inner = inner + "  "
+        row_sep = "," + row_inner
+        rows = (inner + "]," + inner + "[" + row_inner).join(
+            [row_sep.join(map(str, row)) for row in xs]
+        )
+        return "[" + inner + "[" + row_inner + rows + inner + "]" + outer
+    return None
 
 
 def _emit(
@@ -105,8 +194,12 @@ def _sb_certificate(cert: SbstCertificate) -> dict:
 def _host_from_args(g: WeightedGraph, args: argparse.Namespace) -> HostKind:
     if args.host == "complete":
         return HostKind.complete(g.vertex_count)
-    k = args.plus_size if args.plus_size is not None else g.vertex_count // 2
-    return HostKind.complete_bipartite(range(k), range(k, g.vertex_count))
+    n = g.vertex_count
+    if args.plus_size is not None and 2 * args.plus_size != n:
+        half = f"n = {n} is odd" if n % 2 else f"n/2 = {n // 2}"
+        raise TreematchError(f"--plus-size {args.plus_size}: k must equal n/2, and {half}")
+    k = n // 2
+    return HostKind.complete_bipartite(range(k), range(k, n))
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +475,8 @@ def _add_host_flags(p: argparse.ArgumentParser) -> None:
         "--plus-size",
         type=int,
         default=None,
-        help="bipartite host: vertices 0..k-1 form one side (default n/2)",
+        help="bipartite host: vertices 0..k-1 form one side; the host must be "
+        "balanced, so k must equal n/2 (the default)",
     )
 
 

@@ -10,7 +10,11 @@ the result is a deterministic function of the input edge order.
 
 Each search resets and sweeps only the vertices of its own tree, so a
 search that stays inside a small component costs time proportional to
-that component, not to n.
+that component, not to n.  ``members[b]`` lists the vertices whose current
+base is b, for each base that has absorbed others in the current search.
+A contraction walks only the member lists of the bases on the odd cycle
+and appends them to the new base's list, so it costs O(blossom), not
+O(search tree).
 """
 
 from __future__ import annotations
@@ -121,6 +125,9 @@ def _mates_by_blossom(n: int, adj: list[list[int]]) -> list[int]:
     seen = [0] * n  # lca marks: seen[v] == stamp means marked in this call
     stamp = 0
     touched: list[int] = []
+    # Vertices shrunk to each base that absorbed others in this search; any
+    # other base covers only itself.
+    members: dict[int, list[int]] = {}
 
     def lca(a: int, b: int) -> int:
         nonlocal stamp
@@ -151,32 +158,38 @@ def _mates_by_blossom(n: int, adj: list[list[int]]) -> list[int]:
             p[i] = -1
             base[i] = i
             used[i] = False
+        members.clear()
         touched.clear()
         touched.append(root)
         used[root] = True
         queue = deque([root])
         while queue:
             v = queue.popleft()
+            mv = mate[v]
             for to in adj[v]:
-                if base[v] == base[to] or mate[v] == to:
+                if base[v] == base[to] or mv == to:
                     continue
                 if to == root or (mate[to] != -1 and p[mate[to]] != -1):
-                    # Odd cycle: shrink the blossom onto its base.  Every
-                    # vertex it covers is in the search tree, and newly
+                    # Odd cycle: shrink the blossom onto its base.  Only
+                    # the members of the marked bases move, and newly
                     # outer vertices join the queue in ascending id.
                     curbase = lca(v, to)
                     marked: list[int] = []
                     mark_path(v, curbase, to, marked)
                     mark_path(to, curbase, v, marked)
                     grown = []
-                    for i in touched:
-                        if blossom[base[i]]:
+                    into = members.setdefault(curbase, [curbase])
+                    for x in marked:
+                        if not blossom[x]:
+                            continue  # marked twice
+                        blossom[x] = False
+                        moved = members.pop(x, (x,))
+                        for i in moved:
                             base[i] = curbase
                             if not used[i]:
                                 used[i] = True
                                 grown.append(i)
-                    for x in marked:
-                        blossom[x] = False
+                        into += moved
                     grown.sort()
                     queue.extend(grown)
                 elif p[to] == -1:

@@ -1,6 +1,6 @@
 """Shared test utilities: mask-indexed small graphs, Prüfer decoding,
-seeded random instance builders, the reference minimum-PMST, minimum-SBST
-and matroid-intersection searches used across the suite, and two
+seeded random instance builders, the reference minimum-PMST, minimum-SBST,
+matroid-intersection and blossom searches used across the suite, and two
 referees that only the tests need: a Kirchhoff spanning-tree count and a
 subset-DP maximum matching size."""
 
@@ -316,6 +316,115 @@ def spanning_tree_count_determinant(g: WeightedGraph) -> int:
             a[r][col] = 0
         prev = a[col][col]
     return a[k - 1][k - 1]
+
+
+def reference_mates_by_blossom(n: int, adj: list[list[int]]) -> list[int]:
+    """Maximum matching as a mate array (-1 = exposed).
+
+    ``matching._mates_by_blossom`` as it was before member lists: every
+    contraction sweeps the whole search tree.  Kept as the reference the
+    O(blossom) contraction must agree with, mate for mate.
+
+    ``adj[v]`` must list v's neighbors in ascending edge-index order.
+    """
+    mate = [-1] * n
+    # Greedy seed, vertices ascending: cuts the number of augmentations.
+    for v in range(n):
+        if mate[v] == -1:
+            for u in adj[v]:
+                if mate[u] == -1:
+                    mate[v] = u
+                    mate[u] = v
+                    break
+
+    # Per-search state.  Only the vertices in ``touched`` (the current
+    # search tree) can differ from the reset values, so only they are reset.
+    p = [-1] * n  # BFS parent of odd-level vertices
+    base = list(range(n))  # blossom base each vertex is currently shrunk to
+    used = [False] * n  # even-level (outer) vertices
+    blossom = [False] * n
+    seen = [0] * n  # lca marks: seen[v] == stamp means marked in this call
+    stamp = 0
+    touched: list[int] = []
+
+    def lca(a: int, b: int) -> int:
+        nonlocal stamp
+        stamp += 1
+        while True:
+            a = base[a]
+            seen[a] = stamp
+            if mate[a] == -1:
+                break
+            a = p[mate[a]]
+        while True:
+            b = base[b]
+            if seen[b] == stamp:
+                return b
+            b = p[mate[b]]
+
+    def mark_path(v: int, b: int, child: int, marked: list[int]) -> None:
+        while base[v] != b:
+            for x in (base[v], base[mate[v]]):
+                blossom[x] = True
+                marked.append(x)
+            p[v] = child
+            child = mate[v]
+            v = p[mate[v]]
+
+    def augment_from(root: int) -> None:
+        for i in touched:
+            p[i] = -1
+            base[i] = i
+            used[i] = False
+        touched.clear()
+        touched.append(root)
+        used[root] = True
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for to in adj[v]:
+                if base[v] == base[to] or mate[v] == to:
+                    continue
+                if to == root or (mate[to] != -1 and p[mate[to]] != -1):
+                    # Odd cycle: shrink the blossom onto its base.  Every
+                    # vertex it covers is in the search tree, and newly
+                    # outer vertices join the queue in ascending id.
+                    curbase = lca(v, to)
+                    marked: list[int] = []
+                    mark_path(v, curbase, to, marked)
+                    mark_path(to, curbase, v, marked)
+                    grown = []
+                    for i in touched:
+                        if blossom[base[i]]:
+                            base[i] = curbase
+                            if not used[i]:
+                                used[i] = True
+                                grown.append(i)
+                    for x in marked:
+                        blossom[x] = False
+                    grown.sort()
+                    queue.extend(grown)
+                elif p[to] == -1:
+                    p[to] = v
+                    touched.append(to)
+                    if mate[to] == -1:
+                        # Augmenting path: flip matched edges back to the root.
+                        u = to
+                        while u != -1:
+                            pv = p[u]
+                            ppv = mate[pv]
+                            mate[u] = pv
+                            mate[pv] = u
+                            u = ppv
+                        return
+                    touched.append(mate[to])
+                    used[mate[to]] = True
+                    queue.append(mate[to])
+
+    for v in range(n):
+        if mate[v] == -1:
+            augment_from(v)
+    return mate
 
 
 def max_matching_size_exhaustive(g: WeightedGraph) -> int:

@@ -250,6 +250,24 @@ class TestAug:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "n, k, rule",
+        [(6, -3, "n/2 = 3"), (6, 0, "n/2 = 3"), (6, 4, "n/2 = 3"), (5, 2, "n = 5 is odd")],
+    )
+    def test_plus_size_must_be_half(self, tmp_path, capsys, n, k, rule):
+        path = write_graph(tmp_path, "path.graph", WeightedGraph(n, [(0, n - 1, 1)]))
+        for command in ("aug", "minpmst2"):
+            argv = [command, path, "--host", "bipartite", "--plus-size", str(k)]
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (1, "")
+            assert err == f"error: --plus-size {k}: k must equal n/2, and {rule}\n"
+
+    def test_plus_size_half_is_the_default(self, tmp_path, capsys):
+        path = write_graph(tmp_path, "path.graph", WeightedGraph(6, [(0, 5, 1), (1, 3, 1)]))
+        code, out, _ = run(capsys, ["aug", path, "--host", "bipartite"])
+        assert code == 0
+        assert run(capsys, ["aug", path, "--host", "bipartite", "--plus-size", "3"])[1] == out
+
     def test_odd_order_infeasible(self, tmp_path, capsys):
         path = write_graph(tmp_path, "e3.graph", WeightedGraph(3, []))
         code, out, _ = run(capsys, ["aug", path])

@@ -3,12 +3,19 @@ unique perfect matching of a tree."""
 
 from __future__ import annotations
 
+import hashlib
 import random
 from itertools import combinations
 
 import pytest
 
-from helpers import graph_from_mask, max_matching_size_exhaustive, pairs_of, random_tree_edges
+from helpers import (
+    graph_from_mask,
+    max_matching_size_exhaustive,
+    pairs_of,
+    random_tree_edges,
+    reference_mates_by_blossom,
+)
 from treematch import (
     Matching,
     OddDeficiencyError,
@@ -20,6 +27,7 @@ from treematch import (
     tree_perfect_matching,
 )
 from treematch.generate import complete, petersen
+from treematch.matching import _mates_by_blossom
 
 
 def path(n):
@@ -121,6 +129,43 @@ class TestPinnedMatchings:
     @pytest.mark.parametrize("key", sorted(PINNED_MATCHINGS))
     def test_exact_edges(self, key):
         assert sorted(maximum_matching(shuffled_random_graph(*key)).edges) == PINNED_MATCHINGS[key]
+
+
+def adjacency(g):
+    adj = [[] for _ in range(g.vertex_count)]
+    for u, v, _ in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+class TestAgainstWholeTreeSweep:
+    """The O(blossom) contraction returns the mates of the whole-tree sweep."""
+
+    def assert_same_mates(self, g):
+        adj = adjacency(g)
+        n = g.vertex_count
+        assert _mates_by_blossom(n, adj) == reference_mates_by_blossom(n, adj)
+
+    def test_small_random_graphs(self):
+        rng = random.Random(13)
+        for seed in range(1000):
+            n = rng.randint(2, 60)
+            m = rng.randint(0, min(3 * n, n * (n - 1) // 2))
+            self.assert_same_mates(shuffled_random_graph(seed, n, m))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_large_random_graphs(self, seed):
+        self.assert_same_mates(shuffled_random_graph(seed, 2000, 3000))
+
+    def test_pinned_20000_vertex_matching(self):
+        # sha256 of the sorted edge indices, taken with the whole-tree sweep.
+        edges = sorted(maximum_matching(shuffled_random_graph(20000, 20000, 30000)).edges)
+        assert len(edges) == 9273
+        assert (
+            hashlib.sha256(",".join(map(str, edges)).encode()).hexdigest()
+            == "261666a0d1c3383743dabcfcc416b2118156c05d4e7fb4330c88cb8378a17ffc"
+        )
 
 
 class TestMatchingType:
