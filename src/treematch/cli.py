@@ -193,6 +193,8 @@ def _sb_certificate(cert: SbstCertificate) -> dict:
 
 def _host_from_args(g: WeightedGraph, args: argparse.Namespace) -> HostKind:
     if args.host == "complete":
+        if args.plus_size is not None:
+            raise TreematchError(f"--plus-size {args.plus_size}: needs --host bipartite")
         return HostKind.complete(g.vertex_count)
     n = g.vertex_count
     if args.plus_size is not None and 2 * args.plus_size != n:
@@ -475,8 +477,8 @@ def _add_host_flags(p: argparse.ArgumentParser) -> None:
         "--plus-size",
         type=int,
         default=None,
-        help="bipartite host: vertices 0..k-1 form one side; the host must be "
-        "balanced, so k must equal n/2 (the default)",
+        help="needs --host bipartite: vertices 0..k-1 form one side; the host "
+        "must be balanced, so k must equal n/2 (the default)",
     )
 
 

@@ -38,27 +38,48 @@ of this kind.
 The other rounds run Dijkstra's algorithm on reduced keys.  An arc
 u -> v with combined key c has the reduced key c + (pot[u] - pot[v]) *
 scale, at least 1 when the potentials are feasible; a scanned arc below
-1 raises.  Nodes are settled in order of reduced distance, so every
-tight in-arc's source is settled before its head, and each node keeps
-as its predecessor the smallest source id among its tight in-arcs: ties
-between equally short paths go to smaller node ids.  A node's out-arcs
-are made when it is settled: the source scans once for the elements the
-first matroid can add, y outside I asks the second matroid for its
-circuit, and x in I asks the first for ``entering(x)``, the elements
-outside I whose circuit passes through x.  A sink's distance is its
-reduced distance plus at least low, so the search stops once the least
-reduced key left exceeds the best sink's distance minus low.
+1 raises.  The digraph is bipartite.  The source has an arc to each
+element the first matroid can add, and x in I one to each element of
+``entering(x)``, the elements outside I whose first-matroid circuit
+passes through x; these are the arcs into elements outside I.  Such a
+y has arcs only into I, to the rest of its second-matroid circuit, and
+none when it is a sink.  So only the source and elements of I are
+queued.  Whenever y's distance drops, y passes it on at once: a sink
+offers itself as the best sink, any other y relaxes its circuit.  y may
+pass on several distances in one round; the last is its least.  Nodes
+of I leave the heap in order of reduced distance, so every tight
+in-arc's tail holds its final distance before its head leaves, and
+each node keeps as its predecessor the smallest tail id among its tight
+in-arcs, on both hops: ties between equally short paths go to smaller
+node ids.  A sink's distance is its reduced distance plus at least low,
+so the search stops once the least reduced key left in the heap exceeds
+the best sink's distance minus low, and an element reached beyond that
+bound passes nothing on: no path through it can win.
 
 The cost part of each distance, ``dist // scale``, is exact because the
 arc count lies in 0..scale-1.  With cap the distance of the chosen sink
 minus low, each element's potential becomes min(distance, potential +
-cap).  An element the search did not settle lies at least cap beyond
-its potential, as an unreached one does, and gets potential + cap.  The
-new potentials are feasible and tight along the chosen path and on its
-last arc to the virtual sink, whose potential is low.  An element that
-the path toggles then shifts by its old cost: -w when it enters I, +w
-when it leaves.  This keeps the potentials feasible in the next round's
-digraph.
+cap), in one pass over the keys capped at cap * scale.  An element
+reached beyond the stop bound lies at least cap beyond its potential,
+as an unreached one does, and gets potential + cap.  The new potentials
+are feasible and tight along the chosen path and on its last arc to the
+virtual sink, whose potential is low.  An element that the path toggles
+then shifts by its old cost: -w when it enters I, +w when it leaves.
+This keeps the potentials feasible in the next round's digraph.
+
+No round takes an element out of either matroid's span of I, so the
+elements outside I that the first matroid can add, the sinks, and the
+elements both can add only ever leave those sets.  A direct round adds
+one element.  A full round's path P, from y0 to the sink yk, gives I' =
+I with P toggled.  Every element P adds other than y0 lies in the first
+matroid's span of I, having a circuit there, and every one other than
+yk in the second's; I' is independent in both with |I| + 1 elements.
+So span_1(I') = span_1(I + y0) and span_2(I') = span_2(I + yk), for any
+two matroids.  The solver therefore keeps the three sets for the whole
+solve: the first as a list filtered at each full round, the others as
+the two heaps, whose stale entries are dropped as they surface.  Only
+the sinks are re-keyed, over the live ones, once a full round has moved
+the potentials.
 
 The digraph leaves out the textbook arcs from I into each y the first
 matroid can absorb, and from each sink into I.  A path to x in I costs
@@ -338,19 +359,23 @@ def min_weight_common_base(
     in_set = [False] * g
     selection: list[int] = []
     pot = list(weights)  # the source's potential is 0
-    fresh = True  # the contexts and heaps need rebuilding
+    # No round takes an element out of either matroid's span of I, so
+    # the elements outside I that the first matroid can add (free), the
+    # sinks and the elements both can add are only ever filtered.
+    free = list(range(g))
+    live = set(range(g))  # the sinks when a full round last began
+    both = [(w, y) for y, w in enumerate(weights)]
+    heapify(both)
+    fresh = True  # the contexts need making, the sinks keying
 
     for _ in range(k):
         if fresh:
             ctx1 = m1.prepare(selection)
             ctx2 = m2.prepare(selection)
-            sinks = [(pot[y], y) for y in range(g) if not in_set[y] and ctx2.addable(y)]
-            both = [(weights[y], y) for _, y in sinks if ctx1.addable(y)]
+            sinks = [(pot[y], y) for y in live if not in_set[y] and ctx2.addable(y)]
             heapify(sinks)
-            heapify(both)
             fresh = False
-        # Adding elements only shrinks what either matroid can add, and
-        # sinks keep their potentials until a full round, so stale heap
+        # Sinks keep their potentials until a full round, so stale heap
         # entries are dropped when they surface.
         while sinks and (in_set[sinks[0][1]] or not ctx2.addable(sinks[0][1])):
             heappop(sinks)
@@ -374,13 +399,15 @@ def min_weight_common_base(
             selection.append(y)
             continue
 
-        path = _cheapest_path(ctx1, ctx2, weights, pot, in_set, low, scale)
+        free = [y for y in free if not in_set[y] and ctx1.addable(y)]
+        live = {y for _, y in sinks if not in_set[y] and ctx2.addable(y)}
+        path = _cheapest_path(ctx1, ctx2, weights, pot, in_set, free, live, low, scale)
         if path is None:
             return None
         for x in path:
             pot[x] += weights[x] if in_set[x] else -weights[x]
             in_set[x] = not in_set[x]
-        selection = [x for x in range(g) if in_set[x]]
+        selection = [x for x in selection if in_set[x]] + [x for x in path if in_set[x]]
         fresh = True
 
     if not (m1.is_independent(selection) and m2.is_independent(selection)):
@@ -394,11 +421,15 @@ def _cheapest_path(
     weights: Sequence[int],
     pot: list[int],
     in_set: list[bool],
+    free: list[int],
+    sinks: set[int],
     low: int,
     scale: int,
 ) -> list[int] | None:
     """One full round: the shortest path from the source to a sink, its
     nodes listed from the sink back, or None when no sink is reachable.
+    ``free`` lists the elements outside I that the first matroid can
+    add, and ``sinks`` those that the second can.
     Moves ``pot`` to the round's distances capped as the module
     docstring says; toggling the path is left to the caller."""
     g = len(weights)
@@ -411,39 +442,47 @@ def _cheapest_path(
     ]
     dist = [inf] * (g + 1)  # reduced keys
     pred = [-1] * (g + 1)
-    settled = [False] * (g + 1)
     dist[src] = 0
-    heap = [(0, src)]
+    heap = [(0, src)]  # the source and elements of I only
+    entering, circuit = ctx1.entering, ctx2.swap_candidates
     best, best_dist = -1, inf  # best_dist is unreduced
-    bound = inf  # no unsettled sink beats best once the heap passes this
+    bound = inf  # no sink beats best through a node keyed past this
     while heap and heap[0][0] <= bound:
         ds, s = heappop(heap)
-        if settled[s]:
+        if ds > dist[s]:
             continue
-        settled[s] = True
         if s == src:
-            heads = [y for y in range(g) if not in_set[y] and ctx1.addable(y)]
-        elif in_set[s]:
-            heads = ctx1.entering(s)
-        elif ctx2.addable(s):
-            full = ds + pot[s] * scale
-            if full < best_dist or (full == best_dist and s < best):
-                best, best_dist = s, full
-                bound = full - low * scale
-            continue
+            heads, base = free, 0
         else:
-            heads = ctx2.swap_candidates(s)
-        base = ds + (0 if s == src else pot[s] * scale)
-        for d in heads:
-            nd = base + into[d]
-            if nd <= ds:
+            heads, base = entering(s), ds + pot[s] * scale
+        for y in heads:
+            ny = base + into[y]
+            if ny <= ds:
                 raise AssertionError("potentials are not feasible")
-            if nd < dist[d]:
-                dist[d] = nd
-                pred[d] = s
-                heappush(heap, (nd, d))
-            elif nd == dist[d] and s < pred[d]:
-                pred[d] = s
+            if ny < dist[y]:
+                dist[y] = ny
+                pred[y] = s
+                if ny > bound:
+                    continue
+                full = ny + pot[y] * scale
+                if y in sinks:
+                    if full < best_dist or (full == best_dist and y < best):
+                        best, best_dist = y, full
+                        bound = full - low * scale
+                    continue
+                # y passes its new distance straight on to its circuit.
+                for x in circuit(y):
+                    nx = full + into[x]
+                    if nx <= ny:
+                        raise AssertionError("potentials are not feasible")
+                    if nx < dist[x]:
+                        dist[x] = nx
+                        pred[x] = y
+                        heappush(heap, (nx, x))
+                    elif nx == dist[x] and y < pred[x]:
+                        pred[x] = y
+            elif ny == dist[y] and s < pred[y]:
+                pred[y] = s
     if best == -1:
         return None
 
@@ -460,14 +499,9 @@ def _cheapest_path(
     # recovers the reduced weight exactly.  cap is measured from low, the
     # virtual sink's potential, not from the chosen sink's own: then no
     # sink ends below the chosen one, which the next round's arcs into it
-    # need.
-    cap = best_dist // scale - low
-    for v in range(g):
-        if not settled[v]:
-            pot[v] += cap
-            continue
-        reduced = dist[v] // scale
-        if reduced < 0:
-            raise AssertionError("potentials are not feasible")
-        pot[v] += min(reduced, cap)
+    # need.  A key past lim, or none, moves its element by cap.
+    if min(dist) < 0:
+        raise AssertionError("potentials are not feasible")
+    lim = (best_dist // scale - low) * scale
+    pot[:] = [p + (d if d < lim else lim) // scale for p, d in zip(pot, dist)]
     return path

@@ -4,6 +4,7 @@ import ast
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from treematch.cli import main
 from treematch.generate import complete, cube, default_rotation, random_bipartite, random_graph
 from treematch.reductions import format_rotation
 
-from helpers import reference_min_pmst
+from helpers import planted_sb_bipartite, reference_min_pmst
 
 REPORT_KEYS = {"status", "value", "edges", "certificate"}
 
@@ -195,7 +196,9 @@ OPTAUG_REPORT = """\
 # before the gadget layout was rewritten; clauses 1 and 3 sit on the
 # "out" side, 2 and 4 on the "in" side.  The pmst_check_50 and
 # minpmst2_*.json reports below were captured before edge checking moved
-# out of parse_graph into WeightedGraph.
+# out of parse_graph into WeightedGraph.  minsbst_bipartite_100.json was
+# captured before full matroid-intersection rounds stopped queueing the
+# elements outside the current set.
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -208,6 +211,11 @@ GOLDEN = Path(__file__).parent / "golden"
             "minpmst2_bipartite_50.json",
             random_bipartite(25, 25, 0.05, seed=4),
             ["minpmst2", "--host", "bipartite"],
+        ),
+        (
+            "minsbst_bipartite_100.json",
+            planted_sb_bipartite(random.Random(100), 50, 600),
+            ["minsbst-bipartite"],
         ),
     ],
 )
@@ -261,6 +269,14 @@ class TestAug:
             code, out, err = run(capsys, argv)
             assert (code, out) == (1, "")
             assert err == f"error: --plus-size {k}: k must equal n/2, and {rule}\n"
+
+    @pytest.mark.parametrize("command", [["aug"], ["minpmst2"], ["oracle", "optaug"]])
+    def test_plus_size_needs_bipartite_host(self, tmp_path, capsys, command):
+        path = write_graph(tmp_path, "path.graph", WeightedGraph(6, [(0, 5, 1), (1, 3, 1)]))
+        for host in ([], ["--host", "complete"]):
+            code, out, err = run(capsys, [*command, path, *host, "--plus-size", "-3"])
+            assert (code, out) == (1, "")
+            assert err == "error: --plus-size -3: needs --host bipartite\n"
 
     def test_plus_size_half_is_the_default(self, tmp_path, capsys):
         path = write_graph(tmp_path, "path.graph", WeightedGraph(6, [(0, 5, 1), (1, 3, 1)]))

@@ -374,12 +374,17 @@ class TestAgainstReference:
             "6a3fcae55424bdf8f6f0411dc9049e6945401df126ed59596d510e9afcd8ae49"
         )
 
-    # Found by a seeded search for inputs on which the search's tie rules
+    # Found by seeded searches for inputs on which the search's tie rules
     # decide the set: the early stop waiting for equally near sinks and
-    # picking the smallest id among them (the first), and each node's
-    # predecessor being its smallest tight in-arc source (the second).
-    # Each entry: vertex count, (u, v, weight) edges, the first matroid's
-    # parts and capacities, the second's (None for the graphic one).
+    # picking the smallest id among them ("sink ties"), and each node's
+    # predecessor being its smallest tight in-arc source, on the hop into
+    # an element outside I ("predecessor ties") and on the hop that an
+    # element outside I passes on into I ("pass-through ties").  In the
+    # "passed on again" case an element outside I reaches a smaller
+    # distance after it has already passed one on, and its second pass
+    # decides the set.  Each entry: vertex count, (u, v, weight) edges,
+    # then for each matroid its parts and capacities, or None for the
+    # graphic one.
     TIE_CASES = {
         "sink ties": (
             13,
@@ -398,6 +403,28 @@ class TestAgainstReference:
              [0, 1, 0, 2, 1, 3, 1]),
             None,
         ),
+        "pass-through ties, graphic first": (
+            7,
+            [(0, 1, 1), (0, 2, 1), (0, 3, 0), (0, 5, 0), (0, 6, 0), (1, 2, 0),
+             (1, 6, 0), (2, 5, 0), (2, 6, 1), (3, 5, 0), (4, 5, 0), (5, 6, 0)],
+            None,
+            ([[6, 7, 9, 4, 8], [11], [0, 1, 2, 5, 10], [3]], [2, 1, 2, 1]),
+        ),
+        "pass-through ties, graphic second": (
+            8,
+            [(0, 4, 1), (0, 6, 2), (0, 7, 1), (2, 6, 1), (3, 4, 0), (3, 5, 1),
+             (3, 7, 1), (4, 5, 0), (5, 6, 1), (6, 7, 2)],
+            ([[5], [2, 6, 7, 8], [4, 9], [0, 1, 3]], [1, 2, 2, 1]),
+            None,
+        ),
+        "passed on again, graphic second": (
+            8,
+            [(0, 1, 0), (0, 2, 0), (0, 3, 0), (0, 4, 0), (0, 5, 1), (0, 6, 1),
+             (0, 7, 2), (1, 3, 2), (1, 6, 1), (1, 7, 0), (2, 5, 1), (2, 6, 1),
+             (3, 4, 0), (3, 6, 1), (4, 6, 2)],
+            ([[11, 13], [3, 9, 2, 5, 6, 12], [7, 1, 14], [0, 8, 4, 10]], [2, 0, 2, 3]),
+            None,
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(TIE_CASES))
@@ -405,8 +432,7 @@ class TestAgainstReference:
         n, edges, first, second = self.TIE_CASES[case]
         g = WeightedGraph(n, edges)
         weights = [w for _, _, w in edges]
-        m1 = PartitionMatroid(*first)
-        m2 = GraphicMatroid(g) if second is None else PartitionMatroid(*second)
+        m1, m2 = (GraphicMatroid(g) if m is None else PartitionMatroid(*m) for m in (first, second))
         for k in range(g.edge_count + 1):
             want = reference_common_base(m1, m2, weights, k)
             assert min_weight_common_base(m1, m2, weights, k) == want, k
