@@ -210,24 +210,37 @@ def connected_components(g: WeightedGraph) -> list[list[int]]:
 
     Components are ordered by their smallest vertex; vertices within a
     component are sorted ascending.
+
+    Union-find over ``g.edges``, with no adjacency built and nothing
+    sorted: every parent pointer goes to a smaller vertex, so a root is
+    its component's smallest vertex, and finds halve the paths they walk.
+    One ascending pass then points each vertex at its root (its parent's
+    pointer is already final) and appends it to its root's list, which
+    gives both orders.  This costs O(n + m log n), near linear in practice.
     """
-    seen = [False] * g.vertex_count
+    n = g.vertex_count
+    parent = list(range(n))
+    for u, v, _ in g.edges:
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        if u < v:
+            parent[v] = u
+        elif v < u:
+            parent[u] = v
     comps: list[list[int]] = []
-    for start in range(g.vertex_count):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for _, y in g.adjacency[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    comp.append(y)
-                    queue.append(y)
-        comp.sort()
-        comps.append(comp)
+    members: list[list[int] | None] = [None] * n  # indexed by root
+    for v in range(n):
+        r = parent[v] = parent[parent[v]]
+        if r == v:
+            comp = [v]
+            members[v] = comp
+            comps.append(comp)
+        else:
+            members[r].append(v)  # type: ignore[union-attr]
     return comps
 
 

@@ -1,8 +1,8 @@
 """Shared test utilities: mask-indexed small graphs, Prüfer decoding,
 seeded random instance builders, the reference minimum-PMST, minimum-SBST,
-matroid-intersection and blossom searches used across the suite, and two
-referees that only the tests need: a Kirchhoff spanning-tree count and a
-subset-DP maximum matching size."""
+matroid-intersection, blossom and component searches used across the
+suite, and two referees that only the tests need: a Kirchhoff
+spanning-tree count and a subset-DP maximum matching size."""
 
 from __future__ import annotations
 
@@ -316,6 +316,31 @@ def spanning_tree_count_determinant(g: WeightedGraph) -> int:
             a[r][col] = 0
         prev = a[col][col]
     return a[k - 1][k - 1]
+
+
+def reference_connected_components(g: WeightedGraph) -> list[list[int]]:
+    """``graph.connected_components`` as it was before union-find: a BFS
+    over ``g.adjacency`` from each unseen vertex in ascending order, each
+    component sorted.  Kept as the reference the union-find must agree
+    with, list for list."""
+    seen = [False] * g.vertex_count
+    comps: list[list[int]] = []
+    for start in range(g.vertex_count):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp = [start]
+        queue = deque([start])
+        while queue:
+            x = queue.popleft()
+            for _, y in g.adjacency[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    comp.append(y)
+                    queue.append(y)
+        comp.sort()
+        comps.append(comp)
+    return comps
 
 
 def reference_mates_by_blossom(n: int, adj: list[list[int]]) -> list[int]:

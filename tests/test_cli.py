@@ -198,7 +198,8 @@ OPTAUG_REPORT = """\
 # minpmst2_*.json reports below were captured before edge checking moved
 # out of parse_graph into WeightedGraph.  minsbst_bipartite_100.json was
 # captured before full matroid-intersection rounds stopped queueing the
-# elements outside the current set.
+# elements outside the current set, and the aug_*_60.json reports before
+# greedy_augment counted deficiencies instead of summing its exposed heaps.
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -216,6 +217,12 @@ GOLDEN = Path(__file__).parent / "golden"
             "minsbst_bipartite_100.json",
             planted_sb_bipartite(random.Random(100), 50, 600),
             ["minsbst-bipartite"],
+        ),
+        ("aug_complete_60.json", random_graph(60, 0.025, seed=6), ["aug"]),
+        (
+            "aug_bipartite_60.json",
+            random_bipartite(30, 30, 0.05, seed=8),
+            ["aug", "--host", "bipartite"],
         ),
     ],
 )

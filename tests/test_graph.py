@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from helpers import graph_from_mask, pairs_of
+from helpers import graph_from_mask, pairs_of, reference_connected_components
 from treematch import (
     GraphFormatError,
     NotATreeError,
@@ -119,6 +119,28 @@ class TestComponents:
     def test_is_connected(self):
         assert is_connected(path(4))
         assert not is_connected(WeightedGraph(2))
+
+    def test_union_find_matches_bfs_reference(self):
+        # Shuffled edge order exercises every union order; edgeless graphs
+        # and a path listed from its far end (the deepest parent chains
+        # before halving) are included.
+        rng = random.Random(15)
+        graphs = [WeightedGraph(n) for n in (1, 2, 7)]
+        graphs.append(WeightedGraph(60, [(v, v + 1) for v in reversed(range(59))]))
+        for _ in range(1000):
+            n = rng.randint(2, 60)
+            all_pairs = pairs_of(n)
+            chosen = rng.sample(all_pairs, min(rng.randint(0, 3 * n), len(all_pairs)))
+            graphs.append(WeightedGraph(n, chosen))
+        for g in graphs:
+            assert connected_components(g) == reference_connected_components(g)
+
+    def test_union_find_matches_bfs_reference_at_scale(self):
+        rng = random.Random(20000)
+        n = 20000
+        pairs = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(n // 2)}
+        g = WeightedGraph(n, sorted(pairs, key=lambda _: rng.random()))
+        assert connected_components(g) == reference_connected_components(g)
 
 
 class TestBipartition:

@@ -3,6 +3,7 @@ the two-valued minimum tree-with-matching solver."""
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -309,8 +310,42 @@ PINNED_ADDED_EDGES = {
 }
 
 
+# augment_instance(*key) at bench scale -> sha256 of repr(list(added_edges))
+# and of repr(res.graph.edge_pairs(res.matching.edges)), captured before the
+# greedy counted deficiencies instead of summing its exposed heaps.
+PINNED_SCALE_DIGESTS = {
+    (11, 1000, 1.0, "complete"): (
+        "dc700cf8b83274a95cd59d2c93d696f7640642cd6397a1ec69fa27cd64c31b58",
+        "59b8340b7e84619c2eedcff8476a4277da5eaf871630c18ec3650b83dc22acf7",
+    ),
+    (12, 1000, 1.0, "bipartite"): (
+        "ffa569fa88b9f1288c660ec1ff5fe90926c3a3f2d0f55379485644fc0695b3be",
+        "8167c54d57c7e4c05721bd14fe923d61d4b631ce31a35f5c7fa1d7cbcc08aa52",
+    ),
+    (13, 1000, 1.0, "permuted"): (
+        "0684320c18ea2cbf1b055e254219072c1e359bb776fb463402714c481e409b50",
+        "e37cf3e8d7e6a885fc1ef17e1d2ef892abe653c90004f4a447d0842a84346518",
+    ),
+    (14, 2000, 1.5, "complete"): (
+        "a96923bb963c9596efca00d65abdbb955c3c414cde43b8c6a9f43b0a2376ae58",
+        "96d2524d145d67f3fa795943bc8d42d5c3117a42bb987391d8ac75a892a7382e",
+    ),
+}
+
+
+def _sha256(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
 class TestGreedyAugmentPinned:
     """Which optimal augmentation comes out is part of the observable output."""
+
+    @pytest.mark.parametrize("key", sorted(PINNED_SCALE_DIGESTS))
+    def test_bench_scale_digests(self, key):
+        g, host = augment_instance(*key)
+        res = greedy_augment(g, host)
+        matched = res.graph.edge_pairs(res.matching.edges)
+        assert (_sha256(list(res.added_edges)), _sha256(matched)) == PINNED_SCALE_DIGESTS[key]
 
     @pytest.mark.parametrize("key", sorted(PINNED_ADDED_EDGES))
     def test_exact_added_edges(self, key):
@@ -318,10 +353,12 @@ class TestGreedyAugmentPinned:
         res = greedy_augment(g, host)
         assert list(res.added_edges) == PINNED_ADDED_EDGES[key]
         assert res.added_count == augmentation_optimum(deficiency_profile(g))
+        assert sum(res.stage_added) == res.added_count
 
     def test_stars_all_four_stages(self):
-        # deficiencies (4, 2, 0): stage 1 joins the stars, stage 3 pairs
-        # inside the merged star, stage 4 attaches the matched edge
+        # deficiencies (4, 2, 0): stage 1 joins the stars, stage 2 finds no
+        # deficiency-one component, stage 3 pairs inside the merged star,
+        # stage 4 attaches the matched edge
         g = WeightedGraph(
             12,
             [(0, 1, 1), (0, 2, 1), (0, 3, 1), (0, 4, 1), (0, 5, 1),
@@ -329,6 +366,7 @@ class TestGreedyAugmentPinned:
         )
         res = greedy_augment(g, HostKind.complete(12))
         assert res.added_edges == ((2, 8), (3, 4), (5, 9), (0, 10))
+        assert res.stage_added == (1, 0, 2, 1)
         assert res.graph.edge_pairs(res.matching.edges) == [
             (0, 1), (2, 8), (3, 4), (5, 9), (6, 7), (10, 11)
         ]
@@ -342,6 +380,7 @@ class TestGreedyAugmentPinned:
         )
         res = greedy_augment(g, HostKind.complete_bipartite(range(6), range(6, 12)))
         assert res.added_edges == ((2, 7), (3, 8), (0, 10), (0, 11))
+        assert res.stage_added == (0, 0, 2, 2)
         assert res.graph.edge_pairs(res.matching.edges) == [
             (0, 6), (1, 9), (2, 7), (3, 8), (4, 10), (5, 11)
         ]
@@ -352,6 +391,7 @@ class TestGreedyAugmentPinned:
         g = WeightedGraph(12, [(0, 6, 1), (0, 7, 1), (0, 8, 1), (1, 6, 1), (1, 9, 1), (1, 10, 1)])
         res = greedy_augment(g, HostKind.complete_bipartite(range(6), range(6, 12)))
         assert res.added_edges == ((2, 7), (3, 8), (4, 10), (5, 11), (0, 11))
+        assert res.stage_added == (2, 2, 0, 1)
         assert res.graph.edge_pairs(res.matching.edges) == [
             (0, 6), (1, 9), (2, 7), (3, 8), (4, 10), (5, 11)
         ]
