@@ -96,7 +96,8 @@ def _json(doc: dict) -> str:
     With ``indent`` set, the stdlib falls back to its pure-Python encoder;
     this loop over an explicit stack writes the same text faster.  A list
     of leaves (str, int, float, bool, None), or a list of non-empty int
-    lists, is written with one ``str.join``.  None, bools and ints are
+    lists or tuples, is written with one ``str.join``; each int row is cut
+    by one ``%d`` template per row length.  None, bools and ints are
     written directly; strings, floats and keys go to ``json.JSONEncoder``.
     Dict keys must be str, which is all the CLI writes, and the doc must be
     a tree (json.dumps rejects cycles, this loop would not end).
@@ -157,9 +158,10 @@ def _flat_list(xs: list | tuple, depth: int) -> str | None:
         return "[" + inner + ("," + inner).join(map(str if kinds == {int} else _leaf, xs)) + outer
     if kinds <= {list, tuple} and all(xs) and set(map(type, chain.from_iterable(xs))) == {int}:
         row_inner = inner + "  "
-        row_sep = "," + row_inner
+        # One "%d,<indent>%d..." template per row length.
+        shapes = {k: ("," + row_inner).join(["%d"] * k) for k in set(map(len, xs))}
         rows = (inner + "]," + inner + "[" + row_inner).join(
-            [row_sep.join(map(str, row)) for row in xs]
+            [shapes[len(row)] % tuple(row) for row in xs]
         )
         return "[" + inner + "[" + row_inner + rows + inner + "]" + outer
     return None
@@ -179,15 +181,11 @@ def _emit(
     return 0 if status == "feasible" else 2
 
 
-def _pairs(g: WeightedGraph, edge_set) -> list[list[int]]:
-    return [list(p) for p in g.edge_pairs(edge_set)]
-
-
 def _sb_certificate(cert: SbstCertificate) -> dict:
     return {
         "plus_side": sorted(cert.plus_side),
         "unique_leaf": cert.unique_leaf,
-        "matching": _pairs(cert.matching.graph, cert.matching.edges),
+        "matching": cert.matching.graph.edge_pairs(cert.matching.edges),
     }
 
 
@@ -220,8 +218,8 @@ def _cmd_pmst_check(args: argparse.Namespace) -> int:
     return _emit(
         "feasible",
         value=g.total_weight(tree),
-        edges=_pairs(g, tree),
-        certificate={"matching": _pairs(m.graph, m.edges)},
+        edges=g.edge_pairs(tree),
+        certificate={"matching": m.graph.edge_pairs(m.edges)},
     )
 
 
@@ -235,8 +233,8 @@ def _cmd_aug(args: argparse.Namespace) -> int:
     return _emit(
         "feasible",
         value=res.added_count,
-        edges=[list(p) for p in res.added_edges],
-        certificate={"matching": _pairs(res.matching.graph, res.matching.edges)},
+        edges=list(res.added_edges),
+        certificate={"matching": res.matching.graph.edge_pairs(res.matching.edges)},
     )
 
 
@@ -251,10 +249,10 @@ def _cmd_minpmst2(args: argparse.Namespace) -> int:
     return _emit(
         "feasible",
         value=res.total_weight,
-        edges=_pairs(res.support_graph, res.tree),
+        edges=res.support_graph.edge_pairs(res.tree),
         certificate={
             "heavy_count": res.heavy_count,
-            "added_edges": [list(p) for p in res.added_edges],
+            "added_edges": list(res.added_edges),
         },
     )
 
@@ -268,7 +266,7 @@ def _cmd_sbst_check(args: argparse.Namespace) -> int:
     return _emit(
         "feasible",
         value=bt.total_weight,
-        edges=_pairs(g, bt.edges),
+        edges=g.edge_pairs(bt.edges),
         certificate=_sb_certificate(cert),
     )
 
@@ -283,7 +281,7 @@ def _cmd_minsbst_bipartite(args: argparse.Namespace) -> int:
     return _emit(
         "feasible",
         value=res.total_weight,
-        edges=_pairs(g, res.tree),
+        edges=g.edge_pairs(res.tree),
         certificate=_sb_certificate(res.certificate),
     )
 
@@ -407,14 +405,14 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         if best is None:
             return _emit("infeasible", reason="no spanning tree contains a perfect matching")
         tree, w = best
-        return _emit("feasible", value=w, edges=_pairs(g, tree))
+        return _emit("feasible", value=w, edges=g.edge_pairs(tree))
     if args.which == "minsbst":
         g = _load(args.graph)
         best = brute_force_min_sbst(g, cap=args.cap)
         if best is None:
             return _emit("infeasible", reason="no strongly balanced spanning tree")
         tree, w = best
-        return _emit("feasible", value=w, edges=_pairs(g, tree))
+        return _emit("feasible", value=w, edges=g.edge_pairs(tree))
     if args.which == "optaug":
         g = _load(args.graph)
         host = _host_from_args(g, args)

@@ -135,7 +135,8 @@ class WeightedGraph:
 
     def edge_pairs(self, edge_set: Iterable[int]) -> list[tuple[int, int]]:
         """Endpoint pairs of an edge subset, sorted for stable output."""
-        return sorted((self.edges[i][0], self.edges[i][1]) for i in edge_set)
+        edges = self.edges
+        return sorted([edges[i][:2] for i in edge_set])
 
     def with_added_edges(self, new_edges: Iterable[Sequence[int]]) -> "WeightedGraph":
         """A new graph with extra edges appended after the existing ones.
@@ -360,13 +361,37 @@ def parse_graph(text: str) -> WeightedGraph:
     before the ``p`` line, an unknown line type) or a missing ``p`` line;
     then the first self-loop, out-of-range vertex or parallel edge, at its
     line; then an edge count that differs from the announced one.
+
+    Each line is split once, in this loop: a line with no fields, or
+    whose first field starts with ``c``, is skipped, which is the rule of
+    ``_tokenized_lines``.  The common case, an ``e`` line after the ``p``
+    line, is tested first and converted field by field, so a line costs
+    one ``split`` and one tuple.
     """
     n = -1
     m = -1
     edges: list[tuple[int, ...]] = []
     edge_lines: list[int] = []
-    for lineno, parts in _tokenized_lines(text):
-        if parts[0] == "p":
+    for lineno, line in enumerate(text.splitlines(), 1):
+        parts = line.split()
+        if not parts:
+            continue
+        head = parts[0]
+        if head == "e" and n != -1:
+            arity = len(parts)
+            if arity != 4 and arity != 3:
+                raise GraphFormatError("e line must be 'e <u> <v> [<w>]'", lineno)
+            try:
+                if arity == 4:
+                    edges.append((int(parts[1]), int(parts[2]), int(parts[3])))
+                else:
+                    edges.append((int(parts[1]), int(parts[2])))
+            except ValueError:
+                raise GraphFormatError("e line must hold integers", lineno) from None
+            edge_lines.append(lineno)
+        elif head[0] == "c":
+            continue
+        elif head == "p":
             if n != -1:
                 raise GraphFormatError("duplicate p line", lineno)
             if len(parts) != 3:
@@ -377,18 +402,10 @@ def parse_graph(text: str) -> WeightedGraph:
                 raise GraphFormatError("p line must be 'p <n> <m>'", lineno) from None
             if n < 1 or m < 0:
                 raise GraphFormatError(f"bad sizes n={n} m={m}", lineno)
-        elif parts[0] == "e":
-            if n == -1:
-                raise GraphFormatError("e line before p line", lineno)
-            if len(parts) not in (3, 4):
-                raise GraphFormatError("e line must be 'e <u> <v> [<w>]'", lineno)
-            try:
-                edges.append(tuple(map(int, parts[1:])))
-            except ValueError:
-                raise GraphFormatError("e line must hold integers", lineno) from None
-            edge_lines.append(lineno)
+        elif head == "e":
+            raise GraphFormatError("e line before p line", lineno)
         else:
-            raise GraphFormatError(f"unknown line type {parts[0]!r}", lineno)
+            raise GraphFormatError(f"unknown line type {head!r}", lineno)
     if n == -1:
         raise GraphFormatError("missing p line")
     try:

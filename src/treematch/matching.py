@@ -227,8 +227,8 @@ def maximum_matching(g: WeightedGraph) -> Matching:
         adj[u].append(v)
         adj[v].append(u)
     mate = _mates_by_blossom(n, adj)
-    edge_indices = {g.edge_index(v, mate[v]) for v in range(n) if mate[v] != -1}
-    return Matching.from_edges(g, edge_indices)
+    # The graph is simple, so each matched pair is exactly one edge.
+    return Matching.from_edges(g, [i for i, (u, v, _) in enumerate(g.edges) if mate[u] == v])
 
 
 def deficiency(g: WeightedGraph) -> int:

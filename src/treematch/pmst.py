@@ -135,38 +135,39 @@ def build_tree_containing_matching(g: WeightedGraph, matching: Matching) -> Edge
     """A spanning tree of g that contains the given perfect matching.
 
     The matching edges seed a forest; connectors are then taken greedily,
-    preferring lower weight and then lower edge index.
+    preferring lower weight and then lower edge index.  That order is a
+    stable sort of the ascending non-matching indices keyed on the weight
+    alone, and the union-find walks (path halving) are inlined, so the
+    completion costs one sort plus near-linear scanning.
     """
     if matching.graph is not g:
         raise ValueError("matching belongs to a different graph")
     if not matching.is_perfect:
         raise ValueError("matching is not perfect")
-    n = g.vertex_count
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    edges = g.edges
+    parent = list(range(g.vertex_count))
     tree = set(matching.edges)
-    for i in matching.edges:
-        u, v, _ = g.edges[i]
-        parent[find(u)] = find(v)
-    order = sorted(
-        (i for i in range(g.edge_count) if i not in tree),
-        key=lambda i: (g.edges[i][2], i),
-    )
+    for i in tree:
+        u, v, _ = edges[i]
+        parent[u] = v  # a matching's edges are disjoint, so u and v are roots
+    need = g.vertex_count - 1 - len(tree)  # connectors still to take
+    order = [i for i in range(len(edges)) if i not in tree]
+    order.sort(key=[w for _, _, w in edges].__getitem__)
     for i in order:
-        if len(tree) == n - 1:
+        if not need:
             break
-        u, v, _ = g.edges[i]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
+        u, v, _ = edges[i]
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        if u != v:
+            parent[u] = v
             tree.add(i)
-    if len(tree) != n - 1:
+            need -= 1
+    if need:
         raise DisconnectedError("graph is not connected")
     return frozenset(tree)
 
@@ -261,14 +262,15 @@ def greedy_augment(h: WeightedGraph, host: HostKind) -> AugmentationResult:
     matching edge takes one from each endpoint's root and a join adds the
     two counts, so no test of a deficiency walks the heaps.  One pass over
     each component of ``connected_components`` sets the parents, the
-    ascending exposed lists (already heaps) and the counts.  Stage 1 finds
-    its pair through ``_Bucket`` heaps of roots with exposure on a side,
-    and of those with deficiency at least two; stages 2-4 are single passes
-    over the sorted live roots.  Beyond the maximum matching this costs
-    O(m + n log^2 n).  On sparse inputs the time splits about evenly
-    between the maximum matching, the set-up pass and stages 1 and 2,
-    ahead of stage 4's pass over every vertex and the checks of the
-    augmented graph's new edges.
+    ascending exposed lists (already heaps), the counts and the smallest
+    vertex on the side stage 4 joins through; a join keeps the smaller of
+    the two.  Stage 1 finds its pair through ``_Bucket`` heaps of roots
+    with exposure on a side, and of those with deficiency at least two;
+    stages 2-4 are single passes over the sorted live roots.  Beyond the
+    maximum matching this costs O(m + n log^2 n).  On sparse inputs the
+    time splits about evenly between the maximum matching, the set-up pass
+    and stages 1 and 2, ahead of the checks of the augmented graph's new
+    edges.
     """
     n = h.vertex_count
     if n % 2:
@@ -295,6 +297,11 @@ def greedy_augment(h: WeightedGraph, host: HostKind) -> AugmentationResult:
     exposed: list[list[list[int] | None]] = [[None] * n for _ in sides]
     # Indexed by root: the component's exposed vertex count, its deficiency.
     defic = [0] * n
+    # Vertex 0 is always a root; stage 4 joins every other component to it
+    # through the component's smallest vertex on side ``need``, kept here
+    # indexed by root (n if there is none).
+    need = partner[side[0]]
+    lowest = [n] * n
     roots: list[int] = []
     for comp in connected_components(h):
         root = comp[0]
@@ -304,6 +311,10 @@ def greedy_augment(h: WeightedGraph, host: HostKind) -> AugmentationResult:
             parent[v] = root
             if mate[v] is None:
                 lists[side[v]].append(v)
+        for v in comp:
+            if side[v] == need:
+                lowest[root] = v
+                break
         for s in sides:
             exposed[s][root] = lists[s]
             defic[root] += len(lists[s])
@@ -315,6 +326,8 @@ def greedy_augment(h: WeightedGraph, host: HostKind) -> AugmentationResult:
         root, other = (r1, r2) if r1 < r2 else (r2, r1)
         parent[other] = root
         defic[root] += defic[other]
+        if lowest[other] < lowest[root]:
+            lowest[root] = lowest[other]
         for s in sides:
             big, small = exposed[s][root], exposed[s][other]
             if len(big) < len(small):
@@ -436,14 +449,9 @@ def greedy_augment(h: WeightedGraph, host: HostKind) -> AugmentationResult:
     # vertex 0, each through its smallest vertex on the side 0 may be joined
     # to; these edges stay out of the matching.
     v1 = roots[0]
-    need = partner[side[v1]]
-    smallest: dict[int, int] = {}
-    for v in range(n):
-        if side[v] == need:
-            smallest.setdefault(find(v), v)
     for r in roots[1:]:
-        v2 = smallest.get(r)
-        if v2 is None:
+        v2 = lowest[r]
+        if v2 == n:
             raise AssertionError("stage 4: component has no vertex on the needed side")
         u, v = min(v1, v2), max(v1, v2)
         if h.has_edge(u, v):

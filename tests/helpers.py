@@ -1,8 +1,9 @@
 """Shared test utilities: mask-indexed small graphs, Prüfer decoding,
 seeded random instance builders, the reference minimum-PMST, minimum-SBST,
-matroid-intersection, blossom and component searches used across the
-suite, and two referees that only the tests need: a Kirchhoff
-spanning-tree count and a subset-DP maximum matching size."""
+matroid-intersection, blossom and component searches, graph parser and
+tree completion used across the suite, and two referees that only the
+tests need: a Kirchhoff spanning-tree count and a subset-DP maximum
+matching size."""
 
 from __future__ import annotations
 
@@ -12,7 +13,9 @@ from itertools import combinations
 from math import inf
 
 from treematch import WeightedGraph, as_bipartitioned_tree, is_strongly_balanced
-from treematch.errors import TooLargeError
+from treematch.errors import DisconnectedError, GraphFormatError, TooLargeError
+from treematch.graph import BadEdgeError, _tokenized_lines
+from treematch.matching import Matching
 from treematch.oracle import enumerate_spanning_trees
 
 
@@ -476,3 +479,88 @@ def max_matching_size_exhaustive(g: WeightedGraph) -> int:
             cand ^= ub
         dp[s] = best
     return dp[(1 << n) - 1]
+
+
+def reference_parse_graph(text: str) -> WeightedGraph:
+    """``graph.parse_graph`` as it was before it split each line once in
+    its own loop: lines come from ``_tokenized_lines`` and an ``e`` line is
+    converted with ``tuple(map(int, ...))``.  Kept as the reference the
+    parser must agree with, graph for graph and error for error."""
+    n = -1
+    m = -1
+    edges: list[tuple[int, ...]] = []
+    edge_lines: list[int] = []
+    for lineno, parts in _tokenized_lines(text):
+        if parts[0] == "p":
+            if n != -1:
+                raise GraphFormatError("duplicate p line", lineno)
+            if len(parts) != 3:
+                raise GraphFormatError("p line must be 'p <n> <m>'", lineno)
+            try:
+                n, m = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise GraphFormatError("p line must be 'p <n> <m>'", lineno) from None
+            if n < 1 or m < 0:
+                raise GraphFormatError(f"bad sizes n={n} m={m}", lineno)
+        elif parts[0] == "e":
+            if n == -1:
+                raise GraphFormatError("e line before p line", lineno)
+            if len(parts) not in (3, 4):
+                raise GraphFormatError("e line must be 'e <u> <v> [<w>]'", lineno)
+            try:
+                edges.append(tuple(map(int, parts[1:])))
+            except ValueError:
+                raise GraphFormatError("e line must hold integers", lineno) from None
+            edge_lines.append(lineno)
+        else:
+            raise GraphFormatError(f"unknown line type {parts[0]!r}", lineno)
+    if n == -1:
+        raise GraphFormatError("missing p line")
+    try:
+        g = WeightedGraph(n, edges)
+    except BadEdgeError as exc:
+        raise GraphFormatError(str(exc), edge_lines[exc.position]) from None
+    if g.edge_count != m:
+        raise GraphFormatError(f"p line announced {m} edges, file holds {g.edge_count}")
+    return g
+
+
+def reference_build_tree_containing_matching(
+    g: WeightedGraph, matching: Matching
+) -> frozenset[int]:
+    """``pmst.build_tree_containing_matching`` as it was before its stable
+    weight-keyed sort: a ``find`` closure and a sort keyed on
+    ``(weight, index)``.  Kept as the reference the completion must agree
+    with, tree for tree."""
+    if matching.graph is not g:
+        raise ValueError("matching belongs to a different graph")
+    if not matching.is_perfect:
+        raise ValueError("matching is not perfect")
+    n = g.vertex_count
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    tree = set(matching.edges)
+    for i in matching.edges:
+        u, v, _ = g.edges[i]
+        parent[find(u)] = find(v)
+    order = sorted(
+        (i for i in range(g.edge_count) if i not in tree),
+        key=lambda i: (g.edges[i][2], i),
+    )
+    for i in order:
+        if len(tree) == n - 1:
+            break
+        u, v, _ = g.edges[i]
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            tree.add(i)
+    if len(tree) != n - 1:
+        raise DisconnectedError("graph is not connected")
+    return frozenset(tree)

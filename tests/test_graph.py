@@ -3,14 +3,21 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
-from helpers import graph_from_mask, pairs_of, reference_connected_components
+from helpers import (
+    graph_from_mask,
+    pairs_of,
+    reference_connected_components,
+    reference_parse_graph,
+)
 from treematch import (
     GraphFormatError,
     NotATreeError,
     NotBipartiteError,
+    TreematchError,
     WeightedGraph,
     as_bipartitioned_tree,
     bipartition_of,
@@ -345,3 +352,83 @@ class TestFileFormat:
         p = tmp_path / "g.graph"
         save_graph(g, p, comment="x")
         assert load_graph(p).edges == g.edges
+
+
+# Line breaks that ``str.splitlines`` honours.  \x1c and \x85 are also
+# whitespace to ``str.split``; as gaps inside a line they split it in two.
+BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85"]
+GAPS = [" "] * 6 + ["  ", "\t", " \t ", "\x1c", "\x85"]
+# Integer spellings ``int`` accepts (underscores, signs, non-ASCII
+# digits, padding) and tokens it rejects.
+NUMBERS = ["0", "1", "2", "3", "4", "5", "-1", "1_0", "+2", "\u0663", "007", "x", "1.0", "_1"]
+
+
+def random_graph_text(rng: random.Random) -> str:
+    """A text near the graph format: p, e and c lines in any order, with
+    wrong arities, odd integer spellings, mixed line breaks and gaps."""
+    n = rng.randint(1, 5)
+    lines = []
+    for _ in range(rng.randint(0, 8)):
+        kind = rng.random()
+        if kind < 0.62:
+            head, fields = "e", rng.choices(NUMBERS[:6], k=3 if rng.random() < 0.5 else 2)
+            if rng.random() < 0.1:
+                fields = rng.choices(NUMBERS, k=rng.randint(0, 5))
+        elif kind < 0.7:
+            head, fields = "p", [str(n), str(rng.randint(0, 6))]
+            if rng.random() < 0.2:
+                fields = rng.choices(NUMBERS, k=rng.randint(1, 3))
+        elif kind < 0.85:
+            head, fields = rng.choice(["c", "cx", "c1", "comment"]), rng.choices(NUMBERS, k=rng.randint(0, 2))
+        elif kind < 0.95:
+            head, fields = "", []
+        else:
+            head, fields = rng.choice(["x", "E", "pe", "ec", "\u0663"]), rng.choices(NUMBERS, k=2)
+        gap = rng.choice(GAPS)
+        pad = rng.choice(["", "", " ", "\t", "\x85"])
+        lines.append(pad + gap.join([head, *fields]) + rng.choice(["", "", " ", "\t"]))
+    if lines and rng.random() < 0.75:
+        # Put a p line first, announcing the e lines that follow, so that
+        # many texts get past the line checks to the edge checks.
+        lines.insert(0, f"p {n} {sum(1 for x in lines if x.split()[:1] == ['e'])}")
+    return "".join(line + rng.choice(BREAKS) for line in lines)
+
+
+def parse_outcome(parse, text):
+    try:
+        g = parse(text)
+    except TreematchError as exc:
+        return type(exc), str(exc)
+    return g.vertex_count, g.edges
+
+
+class TestParserAgainstReference:
+    def test_same_graph_or_same_error(self):
+        rng = random.Random(16)
+        kinds = set()
+        for _ in range(20_000):
+            text = random_graph_text(rng)
+            got = parse_outcome(parse_graph, text)
+            assert got == parse_outcome(reference_parse_graph, text), repr(text)
+            if got[0] is GraphFormatError:
+                kinds.add(re.sub(r"-?\d+", "#", re.sub(r"^line \d+: ", "", got[1])))
+            else:
+                kinds.add("graph")
+        # Every outcome was reached: a graph, and each message of the
+        # parser and of ``WeightedGraph``'s checks.
+        assert kinds >= {
+            "graph",
+            "missing p line",
+            "duplicate p line",
+            "p line must be 'p <n> <m>'",
+            "bad sizes n=# m=#",
+            "e line before p line",
+            "e line must be 'e <u> <v> [<w>]'",
+            "e line must hold integers",
+            "unknown line type '#'",
+            "unknown line type 'x'",
+            "self-loop at vertex # is not allowed",
+            "edge {#, #} uses a vertex outside #..#",
+            "parallel edge {#, #}",
+            "p line announced # edges, file holds #",
+        }

@@ -8,9 +8,10 @@ import random
 
 import pytest
 
-from helpers import graph_from_mask, pairs_of
+from helpers import graph_from_mask, pairs_of, reference_build_tree_containing_matching
 from treematch import (
     DeficiencyProfile,
+    DisconnectedError,
     HostKind,
     HostMismatchError,
     Infeasible,
@@ -124,6 +125,35 @@ class TestBuildTree:
         g = WeightedGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
         with pytest.raises(ValueError, match="not perfect"):
             build_tree_containing_matching(g, Matching.from_edges(g, [0]))
+
+    @pytest.mark.parametrize("weights", [(1, 2), tuple(range(1, 10))], ids=["1-2", "1-9"])
+    def test_same_tree_as_reference(self, weights):
+        # A planted perfect matching plus random edges, shuffled so that
+        # the matching sits at any indices; few weights make ties decide.
+        # About one graph in five is left disconnected.
+        rng = random.Random(f"tree-completion:{len(weights)}")
+        disconnected = 0
+        for _ in range(500):
+            n = 2 * rng.randint(1, 15)
+            perm = rng.sample(range(n), n)
+            pairs = {(min(a, b), max(a, b)) for a, b in zip(perm[0::2], perm[1::2])}
+            matched = set(pairs)
+            for _ in range(rng.randint(0, 3 * n)):
+                u, v = rng.sample(range(n), 2)
+                pairs.add((min(u, v), max(u, v)))
+            pairs = list(pairs)
+            rng.shuffle(pairs)
+            g = WeightedGraph(n, [(u, v, rng.choice(weights)) for u, v in pairs])
+            m = Matching.from_edges(g, [i for i, p in enumerate(pairs) if p in matched])
+            try:
+                want = reference_build_tree_containing_matching(g, m)
+            except DisconnectedError:
+                disconnected += 1
+                with pytest.raises(DisconnectedError, match="graph is not connected"):
+                    build_tree_containing_matching(g, m)
+                continue
+            assert build_tree_containing_matching(g, m) == want
+        assert 10 <= disconnected <= 250
 
 
 def profile(*per_component):

@@ -52,6 +52,9 @@ DOCS = st.recursive(
 @example({"edges": [[]], "empty": [], "obj": {}, "tuple": (1, (2, 3)), "nan": float("nan")})
 @example({"mixed": [1, [2, 3], "x", None, -4.5, True], "pairs": [[0, 1], [2, 3]], "ints": [-1, 0]})
 @example({"ragged": [[1], [2, 3, 4]], "bools": [[True, 1]], "nested": [[[1, 2]]]})
+@example({"edges": [(0, 1), (2, 3)], "matching": ((4, 5),), "one": [(7,)]})
+@example({"ragged": [(1,), [2, 3], (4, 5, 6), [7]], "mixed": [[1, 2], (3, 4)], "long": [(1, 2, 3, 4, 5)]})
+@example({"big": [(-(2**63) - 1, 2**64), [-1, 2**63]], "neg": [(-5, -6)], "flat": [2**70, -(2**65)]})
 def test_same_bytes_as_json_dumps(doc):
     assert _json(doc) == json.dumps(doc, indent=2) + "\n"
 
