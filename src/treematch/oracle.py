@@ -16,10 +16,21 @@ test on one side of the bipartition.  In both, ``cap`` counts the trees
 that contain a perfect matching, and among trees of equal weight the one
 with the smallest sorted edge-index tuple wins.
 
+Per tree, the oracles pay only for what can change the answer.  The
+enumerator scans its last level directly: once n - 2 edges leave two
+components, each later edge between them completes a tree.  The
+minimum-tree loop sums each tree's weight and builds and sorts a key only
+for a tree that can still win: through one matching, the first tree of a
+weight has the least key of that weight, so once it has been compared
+the later ones are skipped.  ``cap`` still counts every tree.  The
+augmentation branch and bound builds a child's state only when it is
+popped and its parent's bound, less one, is still short of the best.
+
 The one concession to scale is ``sb_tree_search``, a pruned backtracking
 search over edge in/out decisions, used for graphs of maximum degree at
 most three.  Its pruning rules only ever discard spanning trees that are
-not strongly balanced, so its optima agree with enumeration.
+not strongly balanced or, when minimizing, cannot weigh less than the
+best tree found, so its optima agree with enumeration.
 
 No routine here recurses.  The pruned search and the augmentation
 branch and bound are loops over an explicit stack, so their depth is not
@@ -63,11 +74,16 @@ def _spanning_trees(
     and changes on resumption; copy what must outlive the step.
 
     Trees come in lexicographic order of their index lists.  Each descent
-    takes, in index order, every edge that joins two components;
-    backtracking drops the last chosen edge and resumes after it only when
-    the chosen edges plus the later ones still span, so every descent ends
-    in a tree.
+    takes, in index order, every edge that joins two components, until
+    n - 2 edges leave two components; each later edge between those two
+    then completes one tree, found by comparing the two component labels
+    of its ends.  Backtracking drops the last chosen edge and resumes
+    after it only when the chosen edges plus the later ones still span, so
+    every descent ends in a tree.
     """
+    if n == 1:
+        yield []
+        return
     m = len(ends_u)
     parent = list(range(n))
     size = [1] * n
@@ -81,7 +97,7 @@ def _spanning_trees(
 
     i = 0
     while True:
-        while len(chosen) < n - 1:
+        while len(chosen) < n - 2:
             ru, rv = find(ends_u[i]), find(ends_v[i])
             if ru != rv:
                 if size[ru] < size[rv]:
@@ -91,7 +107,12 @@ def _spanning_trees(
                 chosen.append(i)
                 absorbed.append(rv)
             i += 1
-        yield chosen
+        label = [find(x) for x in range(n)]
+        for k in range(i, m):
+            if label[ends_u[k]] != label[ends_v[k]]:
+                chosen.append(k)
+                yield chosen
+                chosen.pop()
         while chosen:
             j = chosen.pop()
             rv = absorbed.pop()
@@ -192,7 +213,16 @@ def _min_matched_tree(
     contracted, the other edges kept, parallel or not) is one tree of g
     through the perfect matching M, and no tree contains two, so each tree
     is built once.  ``accept`` sees only a tree that would become the new
-    best.  Past ``cap`` trees built, TruncatedError.
+    best.  Past ``cap`` trees built, TruncatedError; every tree counts.
+
+    The trees through M come in lexicographic order of their indices into
+    ``rest``, which ascend with g's indices, and M's edges are in every
+    key; so of two trees through M of equal weight the earlier has the
+    smaller key.  Once a tree through M of weight w has been compared,
+    whether it became the best or lost on its key, the later ones of
+    weight w are skipped without a key.  One that ``accept`` rejects
+    settles nothing, so ``accept`` sees the trees it would see without
+    the skipping.
     """
     n, m, edges = g.vertex_count, g.edge_count, g.edges
     if n % 2:
@@ -208,6 +238,7 @@ def _min_matched_tree(
         taken = set(matching)
         rest = [i for i in range(m) if i not in taken]
         rest_w = [edges[i][2] for i in rest]
+        settled: set[int] = set()  # weights of trees through M compared and not rejected
         for tree in _spanning_trees(
             n // 2, [block[edges[i][0]] for i in rest], [block[edges[i][1]] for i in rest]
         ):
@@ -219,11 +250,14 @@ def _min_matched_tree(
             w = base
             for i in tree:
                 w += rest_w[i]
-            if best is None or w <= best_w:
-                key = tuple(sorted(matching + [rest[i] for i in tree]))
-                if best is None or w < best_w or key < best:
-                    if accept is None or accept(key):
-                        best_w, best = w, key
+            if best is not None and (w > best_w or w in settled):
+                continue
+            key = tuple(sorted(matching + [rest[i] for i in tree]))
+            if best is None or w < best_w or key < best:
+                if accept is not None and not accept(key):
+                    continue
+                best_w, best = w, key
+            settled.add(w)
     return None if best is None else (frozenset(best), best_w)
 
 
@@ -234,8 +268,8 @@ def brute_force_min_pmst(
     None when no tree has one.  Ties go to the smallest sorted edge-index
     tuple, the first tree in ``enumerate_spanning_trees`` order.
 
-    ``cap`` counts the trees that contain a perfect matching; one more
-    raises TruncatedError, and a negative cap raises ValueError.  Odd
+    ``cap`` counts every tree that contains a perfect matching, also the
+    ones skipped without a key; one more raises TruncatedError, and a negative cap raises ValueError.  Odd
     order and the absence of a perfect matching give None without
     building a tree; DisconnectedError when g has no spanning tree.
     """
@@ -261,6 +295,8 @@ class _SbSearch:
     cycle are forced out.  When one class of a component dies, vertices of
     the other class are capped at degree two.  Every leaf of the search is
     therefore a spanning tree, checked against the exact one-leaf rule.
+    When minimizing, a node is cut once its in-weight plus the least
+    undecided weight for each edge still missing reaches the best weight.
 
     The search is a loop over an explicit stack of open branchings, so its
     depth is not limited by Python's recursion limit.  Every state change
@@ -295,7 +331,6 @@ class _SbSearch:
         self.nodes = 0
         self.dirty = True
         self.queue: deque[tuple[int, int]] = deque()
-        self.nonneg = all(w >= 0 for _, _, w in g.edges)
         self.best_weight: int | None = None
         self.best_tree: EdgeSet | None = None
 
@@ -488,15 +523,19 @@ class _SbSearch:
                     continue
             return True
 
-    def _pick(self) -> int:
-        best, score = -1, -1
+    def _pick(self) -> tuple[int, int]:
+        # The undecided edge to branch on (-1 when none is left) and the
+        # least weight of an undecided edge.
+        best, score, least = -1, -1, 0
         for e in range(self.m):
             if self.state[e] == 0:
-                u, v, _ = self.g.edges[e]
+                u, v, w = self.g.edges[e]
+                if best == -1 or w < least:
+                    least = w
                 s = self.inc[u] + self.inc[v]
                 if s > score:
                     best, score = e, s
-        return best
+        return best, least
 
     def _complete(self) -> bool:
         # In-edges never close a cycle, so n - 1 of them span.
@@ -519,20 +558,22 @@ class _SbSearch:
         # Open branchings, each [edge, trail mark, value tried]: IN is
         # tried first, then OUT, each from the state at the mark.
         stack: list[list[int]] = []
-        bound = find_min and self.nonneg
         entered = True
         while True:
             if entered:
                 self.nodes += 1
                 if self.nodes > self.node_cap:
                     raise TruncatedError(f"search exceeded {self.node_cap} nodes")
-                best = self.best_weight
-                if not (bound and best is not None and self.tally[1] >= best):
-                    e = self._pick()
-                    if e != -1:
-                        stack.append([e, len(self.trail), 0])
-                    elif self._complete() and not find_min:
+                e, least = self._pick()
+                best = self.best_weight  # only ever set here when find_min
+                in_count, in_weight = self.tally
+                if e == -1:
+                    if self._complete() and not find_min:
                         break
+                # Every tree below needs n - 1 - in_count more undecided
+                # edges, each weighing at least ``least``, whatever the signs.
+                elif best is None or in_weight + (self.n - 1 - in_count) * least < best:
+                    stack.append([e, len(self.trail), 0])
             while stack and stack[-1][2] == self.OUT:
                 stack.pop()
             if not stack:
@@ -591,15 +632,16 @@ def brute_force_min_sbst(
     are the trees ``brute_force_min_pmst`` builds; one that would become
     the new best is kept when one side of its bipartition has no vertex of
     tree-degree three or more.  Ties go to the smallest sorted edge-index
-    tuple.  ``cap`` counts the trees that contain a perfect matching; odd
-    order and the absence of a perfect matching give None at once.
+    tuple.  ``cap`` counts every tree that contains a perfect matching.
+    Odd order gives None before either route runs, and the absence of a
+    perfect matching gives None at once.
 
     Graphs of maximum degree at most three go to the pruned search
     instead, which reaches sizes where enumeration would be hopeless; it
     ignores ``cap`` and stops at its own node cap, ``DEFAULT_NODE_CAP``.
     """
     _check_cap(cap)
-    if not is_connected(g):
+    if g.vertex_count % 2 or not is_connected(g):
         return None
     if max((g.degree(v) for v in range(g.vertex_count)), default=0) <= 3:
         return sb_tree_search(g, find_min=True)
@@ -610,7 +652,10 @@ def brute_force_sbst_exists(
     g: WeightedGraph, node_cap: int = DEFAULT_NODE_CAP
 ) -> EdgeSet | None:
     """Some strongly balanced spanning tree, or None.  First hit wins, so
-    this is much faster than the minimizing variant on feasible inputs."""
+    this is much faster than the minimizing variant on feasible inputs.
+    Odd order gives None at once."""
+    if g.vertex_count % 2:
+        return None
     hit = sb_tree_search(g, find_min=False, node_cap=node_cap)
     return None if hit is None else hit[0]
 
@@ -627,7 +672,9 @@ def brute_force_opt_aug(h: WeightedGraph, host: HostKind) -> int:
     connectivity and at least deficiency/2 for the matching, and one added
     edge improves each count by at most one.  Each search node carries the
     matching number of every vertex subset and the component labels of its
-    graph.  Limited to 8 vertices.
+    graph, built from its parent's when it is popped: not at all when the
+    edges added plus the parent's bound, less one, reach the best.
+    Limited to 8 vertices.
     """
     n = h.vertex_count
     if n > 8:
@@ -669,19 +716,27 @@ def brute_force_opt_aug(h: WeightedGraph, host: HostKind) -> int:
         if not h.has_edge(u, v) and host.admits_edge(u, v)
     ]
     best = n * n  # loose upper bound, beaten immediately
-    # Depth first over (next candidate, edges added, dp, comp); children
-    # go on in reverse, so candidates are tried in ascending order.
-    stack = [(0, 0, dp, comp)]
+    # Depth first over (edges added, the parent's bound, dp and comp, the
+    # candidate that makes the child, -1 at the root); children go on in
+    # reverse, so candidates are tried in ascending order.  One edge lowers
+    # the bound by at most one, so a child is dropped unbuilt when
+    # added + its parent's bound - 1 reaches the best; only a child that
+    # passes gets its own dp and comp.
+    stack = [(0, 1, dp, comp, -1)]
     while stack:
-        pos, added, dp, comp = stack.pop()
+        added, b, dp, comp, c = stack.pop()
+        if added + b - 1 >= best:
+            continue
+        if c >= 0:
+            dp, comp = add_edge(dp, comp, *cands[c])
         b = max(len(set(comp)) - 1, (n - 2 * dp[full]) // 2)
         if added + b >= best:
             continue
         if b == 0:
             best = added
             continue
-        for i in range(len(cands) - 1, pos - 1, -1):
-            stack.append((i + 1, added + 1, *add_edge(dp, comp, *cands[i])))
+        for i in range(len(cands) - 1, c, -1):
+            stack.append((added + 1, b, dp, comp, i))
     return best
 
 

@@ -1,7 +1,8 @@
 """Shared test utilities: mask-indexed small graphs, Prüfer decoding,
 seeded random instance builders, the reference minimum-PMST, minimum-SBST,
-matroid-intersection, blossom and component searches, graph parser and
-tree completion used across the suite, and two referees that only the
+matroid-intersection, blossom and component searches, graph parser, tree
+completion, spanning-tree enumerator and augmentation branch and bound
+used across the suite, and two referees that only the
 tests need: a Kirchhoff spanning-tree count and a subset-DP maximum
 matching size."""
 
@@ -13,7 +14,12 @@ from itertools import combinations
 from math import inf
 
 from treematch import WeightedGraph, as_bipartitioned_tree, is_strongly_balanced
-from treematch.errors import DisconnectedError, GraphFormatError, TooLargeError
+from treematch.errors import (
+    DisconnectedError,
+    GraphFormatError,
+    OddVertexCountError,
+    TooLargeError,
+)
 from treematch.graph import BadEdgeError, _tokenized_lines
 from treematch.matching import Matching
 from treematch.oracle import enumerate_spanning_trees
@@ -564,3 +570,113 @@ def reference_build_tree_containing_matching(
     if len(tree) != n - 1:
         raise DisconnectedError("graph is not connected")
     return frozenset(tree)
+
+
+def reference_spanning_trees(n: int, ends_u, ends_v):
+    """``oracle._spanning_trees`` as it was before it scanned the last
+    level directly: every descent runs to n - 1 edges, and every
+    backtracking step, the last level's too, re-checks that the chosen
+    edges plus the later ones span.  Kept as the reference the enumerator
+    must agree with, tree for tree and in order.  Yields one shared list,
+    like the enumerator."""
+    m = len(ends_u)
+    parent = list(range(n))
+    size = [1] * n
+    chosen: list[int] = []
+    absorbed: list[int] = []
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    i = 0
+    while True:
+        while len(chosen) < n - 1:
+            ru, rv = find(ends_u[i]), find(ends_v[i])
+            if ru != rv:
+                if size[ru] < size[rv]:
+                    ru, rv = rv, ru
+                parent[rv] = ru
+                size[ru] += size[rv]
+                chosen.append(i)
+                absorbed.append(rv)
+            i += 1
+        yield chosen
+        while chosen:
+            j = chosen.pop()
+            rv = absorbed.pop()
+            size[parent[rv]] -= size[rv]
+            parent[rv] = rv
+            trial = parent[:]
+            comps = n - len(chosen)
+            for k in range(j + 1, m):
+                if comps == 1:
+                    break
+                a, b = ends_u[k], ends_v[k]
+                while trial[a] != a:
+                    trial[a] = a = trial[trial[a]]
+                while trial[b] != b:
+                    trial[b] = b = trial[trial[b]]
+                if a != b:
+                    trial[a] = b
+                    comps -= 1
+            if comps == 1:
+                i = j + 1
+                break
+        else:
+            return
+
+
+def reference_opt_aug(h: WeightedGraph, host) -> int:
+    """``oracle.brute_force_opt_aug`` as it was before children were built
+    lazily: every child's subset-DP matching numbers and component labels
+    are built when it is pushed.  Kept as the reference the branch and
+    bound must agree with, value for value and error for error."""
+    n = h.vertex_count
+    if n > 8:
+        raise TooLargeError(f"{n} vertices is past the exhaustive limit of 8")
+    if n % 2:
+        raise OddVertexCountError(f"{n} vertices cannot be perfectly matched")
+    host.validate_graph(h)
+    full = (1 << n) - 1
+
+    def add_edge(dp, comp, u, v):
+        both = (1 << u) | (1 << v)
+        others = full ^ both
+        dp = bytearray(dp)
+        rest = others
+        while True:
+            with_uv = dp[rest] + 1
+            if with_uv > dp[rest | both]:
+                dp[rest | both] = with_uv
+            if not rest:
+                break
+            rest = (rest - 1) & others
+        cu, cv = comp[u], comp[v]
+        if cu != cv:
+            comp = [cu if c == cv else c for c in comp]
+        return dp, comp
+
+    dp, comp = bytearray(1 << n), list(range(n))
+    for u, v, _ in h.edges:
+        dp, comp = add_edge(dp, comp, u, v)
+    cands = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if not h.has_edge(u, v) and host.admits_edge(u, v)
+    ]
+    best = n * n
+    stack = [(0, 0, dp, comp)]
+    while stack:
+        pos, added, dp, comp = stack.pop()
+        b = max(len(set(comp)) - 1, (n - 2 * dp[full]) // 2)
+        if added + b >= best:
+            continue
+        if b == 0:
+            best = added
+            continue
+        for i in range(len(cands) - 1, pos - 1, -1):
+            stack.append((i + 1, added + 1, *add_edge(dp, comp, *cands[i])))
+    return best

@@ -183,6 +183,15 @@ WHEEL_ORACLE_REPORT = """\
   "certificate": null
 }
 """
+NO_SBST_REPORT = """\
+{
+  "status": "infeasible",
+  "value": null,
+  "edges": null,
+  "certificate": null,
+  "reason": "no strongly balanced spanning tree"
+}
+"""
 OPTAUG_REPORT = """\
 {
   "status": "feasible",
@@ -602,6 +611,15 @@ class TestOracleCommands:
         code, out, err = run(capsys, ["oracle", "minsbst", "-"], stdin=text, monkeypatch=monkeypatch)
         assert (code, err) == (0, "")
         assert '"value": 999' in out
+
+    def test_minsbst_on_an_odd_cycle_from_gen(self, capsys, monkeypatch):
+        # Odd order answers before the pruned search, with the report the
+        # search printed when it ran.
+        code, text, _ = run(capsys, ["gen", "cycle", "999"])
+        assert code == 0
+        code, out, err = run(capsys, ["oracle", "minsbst", "-"], stdin=text, monkeypatch=monkeypatch)
+        assert (code, err) == (2, "")
+        assert out == NO_SBST_REPORT
 
     def test_minpmst_exact_report(self, tmp_path, capsys):
         path = write_graph(tmp_path, "wheel.graph", WHEEL_GRAPH)

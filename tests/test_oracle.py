@@ -47,8 +47,11 @@ from helpers import (
     pairs_of,
     random_connected_bipartite,
     random_subcubic,
+    random_tree_edges,
     reference_min_pmst,
     reference_min_sbst,
+    reference_opt_aug,
+    reference_spanning_trees,
     spanning_tree_count_determinant,
     strongly_balanced,
 )
@@ -244,6 +247,27 @@ class TestEnumerateSpanningTrees:
             seen = []
             assert enumerate_spanning_trees(g, seen.append) == len(want)
             assert seen == want
+
+    def test_matches_reference_on_multigraphs(self):
+        # The graphs the minimum-tree oracles contract are multigraphs:
+        # a random tree plus random extra edges, repeats allowed, in
+        # shuffled order, against the enumerator that checks spanning at
+        # every level.
+        rng = random.Random(508)
+        parallel = 0
+        for n in range(1, 8):
+            for _ in range(40):
+                pairs = random_tree_edges(rng, n)
+                if n > 1:
+                    pairs += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(0, 2 * n))]
+                rng.shuffle(pairs)
+                ends_u = [u for u, _ in pairs]
+                ends_v = [v for _, v in pairs]
+                want = [list(t) for t in reference_spanning_trees(n, ends_u, ends_v)]
+                got = [list(t) for t in oracle._spanning_trees(n, ends_u, ends_v)]
+                assert got == want, (n, pairs)
+                parallel += len({frozenset(p) for p in pairs}) < len(pairs)
+        assert parallel >= 100
 
     def test_long_path_leaves_recursion_limit_alone(self):
         # A triangle on 0, 1, 2 followed by a path through 1500 vertices.
@@ -468,6 +492,48 @@ class TestSbTreeSearch:
         with pytest.raises(TruncatedError):
             sb_tree_search(cube(), find_min=True, node_cap=3)
 
+    def test_equal_weights_stop_after_the_first_tree(self):
+        # Without the undecided edges' least weight in the bound, this
+        # search took 252,326 nodes; every tree weighs 19.
+        g = circular_ladder(10)
+        got = sb_tree_search(g, find_min=True, node_cap=100)
+        assert got is not None and got[1] == 19
+        assert is_strongly_balanced(as_bipartitioned_tree(g, got[0])) is not None
+
+    def test_weight_bound_keeps_the_tree(self):
+        # The tree the search found when its bound held the in-weight
+        # alone, after 13,532 nodes: the indices it leaves out.
+        g = circular_ladder(7)
+        got = sb_tree_search(g, find_min=True, node_cap=1000)
+        assert got is not None
+        assert (sorted(set(range(g.edge_count)) - got[0]), got[1]) == (
+            [5, 8, 11, 14, 15, 16, 17, 19],
+            13,
+        )
+
+    def test_negative_weights_agree_with_plain_enumeration(self):
+        # The bound adds the least undecided weight for every missing
+        # edge, which holds whatever the signs.
+        rng = random.Random(509)
+        feasible = 0
+        for _ in range(60):
+            n = rng.choice((4, 6, 8))
+            shape = random_subcubic(rng, n)
+            if not is_connected(shape):
+                continue
+            g = WeightedGraph(n, [(u, v, rng.randint(-3, 3)) for u, v, _ in shape.edges])
+            weights = []
+
+            def look(t):
+                if strongly_balanced(g, t):
+                    weights.append(g.total_weight(frozenset(t)))
+
+            enumerate_spanning_trees(g, look)
+            got = sb_tree_search(g, find_min=True)
+            assert (got and got[1]) == (min(weights) if weights else None)
+            feasible += bool(weights)
+        assert feasible >= 10
+
 
 class TestBruteForceMinSbst:
     def test_cycle_drops_heaviest_edge(self):
@@ -481,6 +547,14 @@ class TestBruteForceMinSbst:
 
     def test_disconnected_gives_none(self):
         assert brute_force_min_sbst(WeightedGraph(4, [(0, 1, 1), (2, 3, 1)])) is None
+
+    def test_odd_order_answers_before_searching(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("the pruned search ran")
+
+        monkeypatch.setattr(oracle, "_SbSearch", no_search)
+        assert brute_force_min_sbst(cycle(999)) is None
+        assert brute_force_sbst_exists(cycle(999)) is None
 
     def test_cube_hamiltonian_path_weight(self):
         got = brute_force_min_sbst(cube())
@@ -609,6 +683,51 @@ class TestBruteForceOptAug:
     def test_odd_order_rejected(self):
         with pytest.raises(OddVertexCountError):
             brute_force_opt_aug(WeightedGraph(3, []), HostKind.complete(3))
+
+    @staticmethod
+    def answer(solve, h, host):
+        try:
+            return solve(h, host)
+        except OddVertexCountError as exc:
+            return str(exc)
+
+    def test_equals_reference_on_every_graph_up_to_four_vertices(self):
+        # Every graph on 1 to 4 vertices under the complete host, and
+        # every one whose edges cross a balanced split under that split's
+        # bipartite host.
+        checked = 0
+        for n in range(1, 5):
+            pairs = pairs_of(n)
+            hosts = [HostKind.complete(n)]
+            if n % 2 == 0:
+                hosts += [
+                    HostKind.complete_bipartite(plus, set(range(n)) - set(plus))
+                    for plus in combinations(range(n), n // 2)
+                    if 0 in plus
+                ]
+            for host in hosts:
+                for mask in range(1 << len(pairs)):
+                    h = graph_from_mask(n, mask, pairs)
+                    if not all(host.admits_edge(u, v) for u, v, _ in h.edges):
+                        continue
+                    want = self.answer(reference_opt_aug, h, host)
+                    assert self.answer(brute_force_opt_aug, h, host) == want, (n, mask, host)
+                    checked += 1
+        assert checked == 1 + 2 + 8 + 64 + 2 + 3 * 16
+
+    def test_equals_reference_on_seeded_six_and_eight_vertex_graphs(self):
+        rng = random.Random(510)
+        for trial in range(300):
+            n = rng.choice((6, 8))
+            if trial % 2:
+                order = rng.sample(range(n), n)
+                host = HostKind.complete_bipartite(order[: n // 2], order[n // 2 :])
+            else:
+                host = HostKind.complete(n)
+            pool = [(u, v) for u, v in pairs_of(n) if host.admits_edge(u, v)]
+            chosen = sorted(rng.sample(pool, rng.randrange(0, len(pool) // 2 + 1)))
+            h = WeightedGraph(n, [(u, v, 1) for u, v in chosen])
+            assert brute_force_opt_aug(h, host) == reference_opt_aug(h, host), (trial, chosen)
 
     def test_size_limit(self):
         with pytest.raises(TooLargeError):
