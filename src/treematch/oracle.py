@@ -269,9 +269,10 @@ def brute_force_min_pmst(
     tuple, the first tree in ``enumerate_spanning_trees`` order.
 
     ``cap`` counts every tree that contains a perfect matching, also the
-    ones skipped without a key; one more raises TruncatedError, and a negative cap raises ValueError.  Odd
-    order and the absence of a perfect matching give None without
-    building a tree; DisconnectedError when g has no spanning tree.
+    ones skipped without a key; one more raises TruncatedError, and a
+    negative cap raises ValueError.  Odd order and the absence of a
+    perfect matching give None without building a tree;
+    DisconnectedError when g has no spanning tree.
     """
     _check_cap(cap)
     if not is_connected(g):

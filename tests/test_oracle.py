@@ -259,7 +259,8 @@ class TestEnumerateSpanningTrees:
             for _ in range(40):
                 pairs = random_tree_edges(rng, n)
                 if n > 1:
-                    pairs += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(0, 2 * n))]
+                    extra = rng.randrange(0, 2 * n)
+                    pairs += [tuple(rng.sample(range(n), 2)) for _ in range(extra)]
                 rng.shuffle(pairs)
                 ends_u = [u for u, _ in pairs]
                 ends_v = [v for _, v in pairs]
