@@ -30,7 +30,6 @@ from .errors import (
     UnbalancedError,
 )
 from .graph import WeightedGraph, as_bipartitioned_tree, format_graph, parse_graph
-from .matching import tree_perfect_matching
 from .oracle import (
     DEFAULT_TREE_CAP,
     brute_force_min_pmst,
@@ -49,6 +48,7 @@ from .reductions import (
     replace_leaves,
 )
 from .sbst import SbstCertificate, is_strongly_balanced, min_sbst_bipartite
+from .verify import check_tree_with_matching
 
 # ---------------------------------------------------------------------------
 # File plumbing ("-" means stdin/stdout)
@@ -95,10 +95,10 @@ def _json(doc: dict) -> str:
 
     With ``indent`` set, the stdlib falls back to its pure-Python encoder;
     this loop over an explicit stack writes the same text faster.  A list
-    of leaves (str, int, float, bool, None), or a list of non-empty int
-    lists or tuples, is written with one ``str.join``; each int row is cut
-    by one ``%d`` template per row length.  None, bools and ints are
-    written directly; strings, floats and keys go to ``json.JSONEncoder``.
+    of leaves (str, int, float, bool, None) is written with one
+    ``str.join``, and a list of non-empty int lists or tuples with one
+    ``%`` (see ``_flat_list``).  None, bools and ints are written
+    directly; strings, floats and keys go to ``json.JSONEncoder``.
     Dict keys must be str, which is all the CLI writes, and the doc must be
     a tree (json.dumps rejects cycles, this loop would not end).
     """
@@ -150,20 +150,29 @@ def _json(doc: dict) -> str:
 
 def _flat_list(xs: list | tuple, depth: int) -> str | None:
     """The indented text of a non-empty list of leaves or of non-empty int
-    lists at ``depth``, or None for any other list."""
+    lists at ``depth``, or None for any other list.
+
+    Int rows are never formatted one by one: the per-row-length ``%d``
+    templates, picked in row order, are joined into one template, and one
+    ``%`` fills it with every entry of every row.  A bool, or any other
+    type, among the entries sends the list to the general path.
+    """
     inner = "\n" + "  " * (depth + 1)
     outer = "\n" + "  " * depth + "]"
     kinds = set(map(type, xs))
     if kinds <= _LEAVES:
         return "[" + inner + ("," + inner).join(map(str if kinds == {int} else _leaf, xs)) + outer
-    if kinds <= {list, tuple} and all(xs) and set(map(type, chain.from_iterable(xs))) == {int}:
+    if kinds <= {list, tuple} and all(xs):
+        flat = tuple(chain.from_iterable(xs))
+        if set(map(type, flat)) != {int}:
+            return None
         row_inner = inner + "  "
         # One "%d,<indent>%d..." template per row length.
         shapes = {k: ("," + row_inner).join(["%d"] * k) for k in set(map(len, xs))}
-        rows = (inner + "]," + inner + "[" + row_inner).join(
-            [shapes[len(row)] % tuple(row) for row in xs]
+        template = (inner + "]," + inner + "[" + row_inner).join(
+            map(shapes.__getitem__, map(len, xs))
         )
-        return "[" + inner + "[" + row_inner + rows + inner + "]" + outer
+        return "[" + inner + "[" + row_inner + template % flat + inner + "]" + outer
     return None
 
 
@@ -209,17 +218,16 @@ def _host_from_args(g: WeightedGraph, args: argparse.Namespace) -> HostKind:
 def _cmd_pmst_check(args: argparse.Namespace) -> int:
     g = _load(args.graph)
     try:
-        tree = pmst_feasible(g)
+        found = pmst_feasible(g)
     except Infeasible as exc:
         return _emit("infeasible", reason=exc.reason)
-    m = tree_perfect_matching(as_bipartitioned_tree(g, tree))
-    if m is None:
-        raise AssertionError("pmst_feasible returned a tree without a perfect matching")
+    # The seeding matching is the tree's only perfect matching.
+    check_tree_with_matching(g, found.tree, found.matching.edges)
     return _emit(
         "feasible",
-        value=g.total_weight(tree),
-        edges=g.edge_pairs(tree),
-        certificate={"matching": m.graph.edge_pairs(m.edges)},
+        value=g.total_weight(found.tree),
+        edges=g.edge_pairs(found.tree),
+        certificate={"matching": g.edge_pairs(found.matching.edges)},
     )
 
 
@@ -241,9 +249,8 @@ def _cmd_aug(args: argparse.Namespace) -> int:
 def _cmd_minpmst2(args: argparse.Namespace) -> int:
     g = _load(args.graph)
     host = _host_from_args(g, args)
-    light = [(u, v) for u, v, _ in g.edges]
     try:
-        res = min_pmst_two_valued(host, light, args.light, args.heavy)
+        res = min_pmst_two_valued(host, g.edges, args.light, args.heavy)
     except (OddVertexCountError, OddDeficiencyError) as exc:
         return _emit("infeasible", reason=str(exc))
     return _emit(

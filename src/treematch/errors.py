@@ -4,6 +4,8 @@ Input-validation failures raise specific ``TreematchError`` subclasses so
 callers (and the CLI) can distinguish a malformed instance from a solver
 saying "no".  The one outcome-style exception is :class:`Infeasible`,
 raised by solvers whose answer is a definite negative.
+:class:`InternalError` is the one exception that is not a
+``TreematchError``: it means a result failed its certificate check.
 """
 
 from __future__ import annotations
@@ -105,3 +107,11 @@ class Infeasible(TreematchError):
     def __init__(self, reason: str):
         self.reason = reason
         super().__init__(reason)
+
+
+class InternalError(AssertionError):
+    """A solver's result failed its certificate check: a bug, not bad input.
+
+    It is an ``AssertionError`` and no ``TreematchError``, so the CLI lets
+    it escape as a traceback instead of reporting an input error.
+    """

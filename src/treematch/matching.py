@@ -210,7 +210,8 @@ def _mates_by_blossom(n: int, adj: list[list[int]]) -> list[int]:
                     queue.append(mate[to])
 
     for v in range(n):
-        if mate[v] == -1:
+        # A search from a vertex without neighbours would touch nothing.
+        if mate[v] == -1 and adj[v]:
             augment_from(v)
     return mate
 

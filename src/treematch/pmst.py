@@ -172,18 +172,34 @@ def build_tree_containing_matching(g: WeightedGraph, matching: Matching) -> Edge
     return frozenset(tree)
 
 
-def pmst_feasible(g: WeightedGraph) -> EdgeSet:
-    """A spanning tree of g containing a perfect matching.
+@dataclass(frozen=True)
+class TreeWithMatching:
+    """A spanning tree and the perfect matching inside it.
+
+    A tree contains at most one perfect matching, so ``matching`` is the
+    tree's own; ``verify.check_tree_with_matching`` checks the pair.
+    """
+
+    tree: EdgeSet
+    matching: Matching
+
+
+def pmst_feasible(g: WeightedGraph) -> TreeWithMatching:
+    """A spanning tree of g with the perfect matching that seeded it.
 
     Raises Infeasible("disconnected") or Infeasible("no perfect matching");
-    those two conditions are the exact obstructions.
+    those two conditions are the exact obstructions, and a disconnected
+    graph is reported as such whether or not it is perfectly matchable.
+    Connectivity is tested on its own only when there is no perfect
+    matching; otherwise the tree completion finds it.
     """
-    if not is_connected(g):
-        raise Infeasible("disconnected")
     m = maximum_matching(g)
     if not m.is_perfect:
-        raise Infeasible("no perfect matching")
-    return build_tree_containing_matching(g, m)
+        raise Infeasible("no perfect matching" if is_connected(g) else "disconnected")
+    try:
+        return TreeWithMatching(build_tree_containing_matching(g, m), m)
+    except DisconnectedError:
+        raise Infeasible("disconnected") from None
 
 
 def augmentation_optimum(profile: DeficiencyProfile) -> int:
@@ -497,7 +513,9 @@ def min_pmst_two_valued(
 ) -> MinPmstResult:
     """Minimum-weight spanning tree containing a perfect matching, over a
     host whose edges weigh ``light_weight`` on ``light_edges`` and
-    ``heavy_weight`` elsewhere.
+    ``heavy_weight`` elsewhere.  Only the first two entries of each light
+    edge are read, so a graph's ``(u, v, w)`` edges can be passed as they
+    are.
 
     Every tree with a matching needs n - 1 edges, so only the number of
     heavy edges matters; that number is exactly the augmentation optimum
@@ -510,13 +528,13 @@ def min_pmst_two_valued(
     n = host.n
     if n % 2:
         raise OddVertexCountError(f"{n} vertices cannot be perfectly matched")
-    pairs = []
+    light = []
     for item in light_edges:
         u, v = item[0], item[1]
         if not host.admits_edge(u, v):
             raise HostMismatchError(f"light edge {{{u}, {v}}} is not a host edge")
-        pairs.append((u, v))
-    g0 = WeightedGraph(n, [(u, v, light_weight) for u, v in pairs])
+        light.append((u, v, light_weight))
+    g0 = WeightedGraph(n, light)
     aug = greedy_augment(g0, host)
 
     # Same edges in the same order as aug.graph, so its matching's edge

@@ -1,6 +1,7 @@
 """Command-line behavior: reports, exit codes, and file plumbing."""
 
 import ast
+import hashlib
 import io
 import json
 import os
@@ -240,6 +241,61 @@ def test_exact_reports_on_seeded_graphs(tmp_path, capsys, golden, g, argv):
     code, out, _ = run(capsys, [argv[0], path, *argv[1:]])
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
+
+
+def scale_graph_text(seed, planted):
+    """A 2000-vertex, 3000-edge graph file, edges in shuffled order.
+
+    With ``planted``, a perfect matching over a shuffled vertex order is
+    joined into one component by one edge from each matched pair to an
+    earlier pair, the rest is random, and weights are 1-9; the graph is
+    then connected and perfectly matchable.  Without it every edge is
+    random with weight 1, which leaves about a hundred vertices isolated.
+    """
+    rng = random.Random(seed)
+    n, m = 2000, 3000
+    pairs = set()
+    if planted:
+        order = list(range(n))
+        rng.shuffle(order)
+        pairs.update((min(a, b), max(a, b)) for a, b in zip(order[0::2], order[1::2]))
+        for i in range(2, n, 2):
+            a, b = order[i + rng.randrange(2)], order[rng.randrange(i)]
+            pairs.add((min(a, b), max(a, b)))
+    while len(pairs) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            pairs.add((min(u, v), max(u, v)))
+    edges = sorted(pairs)
+    rng.shuffle(edges)
+    lines = [f"p {n} {m}"]
+    lines += [f"e {u} {v} {rng.randint(1, 9) if planted else 1}" for u, v in edges]
+    return "\n".join(lines) + "\n"
+
+
+# (command, seed) -> sha256 of the stdout of ``treematch <command>`` on
+# scale_graph_text(seed, planted=command == "pmst-check"), captured before
+# pmst-check reported the matching that seeded its tree and before the
+# matching search skipped vertices without neighbours.
+PINNED_SCALE_REPORT_DIGESTS = {
+    ("minpmst2", 1): "853c9d856dbdd4fbb9736c24f44296ae4d749b65e1e463b3944347ce1a1bd5a3",
+    ("minpmst2", 2): "83210fb62e6831eb5e46f81611af624511b245cd9ce70d4ab6f56b065d52708f",
+    ("pmst-check", 1): "c190f3066e9cdb1e06beafcd92fd957360341113c28689d5a45bf4210311e9f5",
+    ("pmst-check", 2): "a7d797a9634f04e13ef01019797862dd48b58f98109f2dda2d4c5f9e23be11bd",
+}
+
+
+@pytest.mark.parametrize("command, seed", sorted(PINNED_SCALE_REPORT_DIGESTS))
+def test_bench_scale_report_digests(tmp_path, capsys, command, seed):
+    text = scale_graph_text(seed, planted=command == "pmst-check")
+    if command == "minpmst2":
+        ends = {x for line in text.splitlines()[1:] for x in line.split()[1:3]}
+        assert len(ends) < 2000  # some vertex is isolated
+    path = tmp_path / "g.graph"
+    path.write_text(text)
+    code, out, _ = run(capsys, [command, str(path)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SCALE_REPORT_DIGESTS[(command, seed)]
 
 
 class TestAug:

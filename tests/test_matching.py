@@ -158,6 +158,18 @@ class TestAgainstWholeTreeSweep:
     def test_large_random_graphs(self, seed):
         self.assert_same_mates(shuffled_random_graph(seed, 2000, 3000))
 
+    @pytest.mark.parametrize(
+        "seed, n, m", [(1, 9, 6), (2, 30, 25), (3, 300, 300), (4, 3000, 2000)]
+    )
+    def test_every_third_vertex_isolated(self, seed, n, m):
+        # No search starts at 0, 3, 6, ...; the other vertices carry a
+        # random graph on 2n/3 vertices.
+        g = shuffled_random_graph(seed, 2 * n // 3, m)
+        spread = [3 * (k // 2) + 1 + k % 2 for k in range(g.vertex_count)]
+        h = WeightedGraph(n, [(spread[u], spread[v], w) for u, v, w in g.edges])
+        assert all(not h.adjacency[v] for v in range(0, n, 3))
+        self.assert_same_mates(h)
+
     def test_pinned_20000_vertex_matching(self):
         # sha256 of the sorted edge indices, taken with the whole-tree sweep.
         edges = sorted(maximum_matching(shuffled_random_graph(20000, 20000, 30000)).edges)

@@ -70,7 +70,9 @@ class TestHostKind:
 class TestPmstFeasible:
     def test_single_edge(self):
         g = WeightedGraph(2, [(0, 1, 1)])
-        assert pmst_feasible(g) == frozenset([0])
+        found = pmst_feasible(g)
+        assert found.tree == frozenset([0])
+        assert found.matching.edges == frozenset([0])
 
     def test_triangle_infeasible_odd(self):
         g = WeightedGraph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
@@ -83,10 +85,16 @@ class TestPmstFeasible:
 
     def test_k4_tree_contains_matching(self):
         g = complete(4)
-        tree = pmst_feasible(g)
-        assert len(tree) == 3
-        t = as_bipartitioned_tree(g, tree)
-        assert tree_perfect_matching(t) is not None
+        found = pmst_feasible(g)
+        assert len(found.tree) == 3
+        t = as_bipartitioned_tree(g, found.tree)
+        assert tree_perfect_matching(t).edges == found.matching.edges
+
+    def test_disconnected_without_perfect_matching_is_disconnected(self):
+        # A star K_{1,3} beside an edge: neither connected nor matchable.
+        g = WeightedGraph(6, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (4, 5, 1)])
+        with pytest.raises(Infeasible, match="disconnected"):
+            pmst_feasible(g)
 
     def test_star_with_even_order_infeasible(self):
         g = WeightedGraph(4, [(0, 1, 1), (0, 2, 1), (0, 3, 1)])

@@ -8,11 +8,12 @@ Hypothesis runs are derandomized, so every run checks the same examples.
 from __future__ import annotations
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from treematch.cli import _json
+from treematch.cli import _flat_list, _json
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
@@ -68,3 +69,32 @@ def test_golden_reports_round_trip(path):
 def test_non_str_keys_are_refused():
     with pytest.raises(TypeError, match="keys must be str"):
         _json({"certificate": {1: 2}})
+
+
+def _rows(count, lengths, seed):
+    rng = random.Random(seed)
+    return [
+        [rng.randrange(-5, 10**6) for _ in range(lengths[i % len(lengths)])] for i in range(count)
+    ]
+
+
+BOOL_LAST = _rows(50, (2,), 3)
+BOOL_LAST[-1][-1] = True
+
+
+@pytest.mark.parametrize(
+    "rows, flat",
+    [
+        (_rows(3000, (2,), 1), True),
+        ([tuple(row) for row in _rows(1000, (1, 3, 2, 2, 3), 2)], True),
+        (BOOL_LAST, False),
+    ],
+    ids=["3000-pairs", "1000-ragged", "bool-in-last-row"],
+)
+def test_long_row_lists(rows, flat):
+    # Whole int row lists are written by one % over all their entries; a
+    # bool anywhere, even in the last row, sends the list to the general
+    # path, which writes it as json does.
+    doc = {"edges": rows, "certificate": {"matching": rows[:7]}}
+    assert (_flat_list(rows, 1) is not None) == flat
+    assert _json(doc) == json.dumps(doc, indent=2) + "\n"
