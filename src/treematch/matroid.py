@@ -3,11 +3,13 @@ matroid.
 
 This is the matroid intersection behind ``min_sbst_bipartite``: spanning
 trees are the bases of the graphic matroid, and a partition matroid caps
-each plus vertex's star.  The solver grows a common independent set one
-element at a time, each round augmenting along a minimum-cost
-source-to-sink path in the exchange digraph (cheapest total cost, then
-fewest arcs).  That path keeps the intermediate sets extreme, which is
-what makes the greedy rounds globally optimal.
+each plus vertex's star.  ``min_weight_common_base`` takes exactly that
+shape, the graphic matroid first and the partition matroid second, and
+raises ``TypeError`` on any other pairing.  The solver grows a common
+independent set one element at a time, each round augmenting along a
+minimum-cost source-to-sink path in the exchange digraph (cheapest total
+cost, then fewest arcs).  That path keeps the intermediate sets extreme,
+which is what makes the greedy rounds globally optimal.
 
 Exchange arcs come in two bundles per round.  For y outside I that the
 graphic matroid cannot absorb directly, arcs run from each edge on the
@@ -132,7 +134,8 @@ class _ForestContext:
     """Rooted-forest view of an independent edge set.
 
     The circuit of I + y is y plus the tree path between y's endpoints,
-    found by walking parent pointers.  ``comp[v]`` is the root of v's
+    so the edges whose circuit passes through tree edge x are those that
+    cross the cut x makes in its tree.  ``comp[v]`` is the root of v's
     tree, and ``size`` counts a tree's vertices at its root.
     """
 
@@ -141,15 +144,13 @@ class _ForestContext:
         n = graph.vertex_count
         self.comp = [-1] * n
         self.parent_vertex = [-1] * n
-        self.parent_edge = [-1] * n
-        self.depth = [0] * n
         self.size = [0] * n
-        self.adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        self.adj: list[list[int]] = [[] for _ in range(n)]
         self._preorder: tuple[list[int], list[int], list[int]] | None = None
         for i in selection:
             u, v, _ = graph.edges[i]
-            self.adj[u].append((v, i))
-            self.adj[v].append((u, i))
+            self.adj[u].append(v)
+            self.adj[v].append(u)
         for r in range(n):
             if self.comp[r] == -1:
                 self.comp[r] = r
@@ -159,19 +160,15 @@ class _ForestContext:
         """Hang below ``top``, in the tree rooted at ``root``, every vertex
         that ``top`` reaches through vertices not yet in that tree; return
         how many there are."""
-        comp, pv, pe, depth, adj = (
-            self.comp, self.parent_vertex, self.parent_edge, self.depth, self.adj
-        )
+        comp, pv, adj = self.comp, self.parent_vertex, self.adj
         count = 0
         stack = [top]
         while stack:
             x = stack.pop()
-            for y, e in adj[x]:
+            for y in adj[x]:
                 if comp[y] != root:
                     comp[y] = root
                     pv[y] = x
-                    pe[y] = e
-                    depth[y] = depth[x] + 1
                     stack.append(y)
                     count += 1
         return count
@@ -179,16 +176,6 @@ class _ForestContext:
     def addable(self, y: int) -> bool:
         u, v, _ = self.graph.edges[y]
         return self.comp[u] != self.comp[v]
-
-    def swap_candidates(self, y: int) -> list[int]:
-        u, v, _ = self.graph.edges[y]
-        path = []
-        while u != v:
-            if self.depth[u] < self.depth[v]:
-                u, v = v, u
-            path.append(self.parent_edge[u])
-            u = self.parent_vertex[u]
-        return path
 
     def add(self, y: int) -> None:
         """Link the two trees that addable edge y joins: the smaller one
@@ -200,11 +187,9 @@ class _ForestContext:
         self.size[root] += self.size[self.comp[u]]
         self.comp[u] = root
         self.parent_vertex[u] = v
-        self.parent_edge[u] = y
-        self.depth[u] = self.depth[v] + 1
         self._hang(u, root)
-        self.adj[u].append((v, y))
-        self.adj[v].append((u, y))
+        self.adj[u].append(v)
+        self.adj[v].append(u)
         self._preorder = None
 
     def entering(self, x: int) -> list[int]:
@@ -244,7 +229,7 @@ class _ForestContext:
             while stack:
                 x = stack.pop()
                 order.append(x)
-                for y, _ in adj[x]:
+                for y in adj[x]:
                     if pv[y] == x:
                         stack.append(y)
         tin = [0] * n
@@ -261,28 +246,30 @@ class _ForestContext:
 class PartitionMatroid:
     """At most ``capacities[i]`` elements from ``parts[i]``.
 
-    The parts must partition the ground set exactly.
+    The parts must partition the ground set 0..ground_size-1 exactly;
+    ``part_of[x]`` is the part holding x.
     """
 
     def __init__(self, parts: Sequence[Iterable[int]], capacities: Sequence[int]):
-        self.parts = tuple(frozenset(p) for p in parts)
+        parts = [list(p) for p in parts]
         self.capacities = tuple(int(c) for c in capacities)
-        if len(self.parts) != len(self.capacities):
+        if len(parts) != len(self.capacities):
             raise ValueError("one capacity per part")
         if any(c < 0 for c in self.capacities):
             raise ValueError("capacities must be nonnegative")
-        self.ground_size = sum(len(p) for p in self.parts)
-        self.part_of: dict[int, int] = {}
-        for i, p in enumerate(self.parts):
+        self.ground_size = g = sum(len(p) for p in parts)
+        self.part_of = [-1] * g
+        for i, p in enumerate(parts):
             for x in p:
-                if x in self.part_of:
+                # Checked before indexing: -1 would wrap to the last slot.
+                if not isinstance(x, int) or not 0 <= x < g:
+                    raise ValueError("parts must partition 0..ground_size-1")
+                if self.part_of[x] != -1:
                     raise ValueError(f"element {x} appears in two parts")
                 self.part_of[x] = i
-        if set(self.part_of) != set(range(self.ground_size)):
-            raise ValueError("parts must partition 0..ground_size-1")
 
     def is_independent(self, selection: Iterable[int]) -> bool:
-        counts = [0] * len(self.parts)
+        counts = [0] * len(self.capacities)
         for x in selection:
             i = self.part_of[x]
             counts[i] += 1
@@ -296,43 +283,38 @@ class PartitionMatroid:
 
 class _PartitionContext:
     def __init__(self, m: PartitionMatroid, selection: Sequence[int]):
-        self.m = m
-        self.counts = [0] * len(m.parts)
-        self.members: list[list[int]] = [[] for _ in m.parts]
+        self.part_of = m.part_of
+        self.capacities = m.capacities
+        self.counts = [0] * len(m.capacities)
+        self.members: list[list[int]] = [[] for _ in m.capacities]
         for x in selection:
             self.add(x)
 
     def addable(self, y: int) -> bool:
-        i = self.m.part_of[y]
-        return self.counts[i] < self.m.capacities[i]
+        i = self.part_of[y]
+        return self.counts[i] < self.capacities[i]
 
-    def swap_candidates(self, y: int) -> list[int]:
-        # The circuit of I + y is y plus I's elements in y's part.
-        return self.members[self.m.part_of[y]]
+    def circuit(self, y: int) -> list[int]:
+        """The circuit of I + y, less y: I's elements in y's part."""
+        return self.members[self.part_of[y]]
 
     def add(self, y: int) -> None:
-        i = self.m.part_of[y]
+        i = self.part_of[y]
         self.counts[i] += 1
         self.members[i].append(y)
 
-    def entering(self, x: int) -> list[int]:
-        """The elements outside I whose circuit in I + y contains x: the
-        rest of x's part once the part is full."""
-        i = self.m.part_of[x]
-        if self.counts[i] < self.m.capacities[i]:
-            return []
-        inside = set(self.members[i])
-        return [y for y in self.m.parts[i] if y not in inside]
-
 
 def min_weight_common_base(
-    m1: GraphicMatroid | PartitionMatroid,
-    m2: GraphicMatroid | PartitionMatroid,
+    m1: GraphicMatroid,
+    m2: PartitionMatroid,
     weights: Sequence[int],
     k: int,
 ) -> frozenset[int] | None:
     """Minimum-weight set of size k independent in both matroids, or None
     when no common independent set reaches that size.
+
+    ``m1`` must be a ``GraphicMatroid`` and ``m2`` a ``PartitionMatroid``;
+    any other pairing raises ``TypeError``.
 
     k rounds of shortest augmenting paths.  A round whose potentials
     prove that the lightest element addable to both matroids is the
@@ -343,6 +325,11 @@ def min_weight_common_base(
     the smallest source id among its tight in-arcs, so the result is
     deterministic and does not depend on which rounds were direct.
     """
+    if not (isinstance(m1, GraphicMatroid) and isinstance(m2, PartitionMatroid)):
+        raise TypeError(
+            f"expected a GraphicMatroid and then a PartitionMatroid, got "
+            f"{type(m1).__name__} and {type(m2).__name__}"
+        )
     if m1.ground_size != m2.ground_size:
         raise GroundSetMismatchError(
             f"ground sets of size {m1.ground_size} and {m2.ground_size}"
@@ -416,8 +403,8 @@ def min_weight_common_base(
 
 
 def _cheapest_path(
-    ctx1: _ForestContext | _PartitionContext,
-    ctx2: _ForestContext | _PartitionContext,
+    ctx1: _ForestContext,
+    ctx2: _PartitionContext,
     weights: Sequence[int],
     pot: list[int],
     in_set: list[bool],
@@ -444,7 +431,7 @@ def _cheapest_path(
     pred = [-1] * (g + 1)
     dist[src] = 0
     heap = [(0, src)]  # the source and elements of I only
-    entering, circuit = ctx1.entering, ctx2.swap_candidates
+    entering, circuit = ctx1.entering, ctx2.circuit
     best, best_dist = -1, inf  # best_dist is unreduced
     bound = inf  # no sink beats best through a node keyed past this
     while heap and heap[0][0] <= bound:

@@ -155,22 +155,28 @@ def random_subcubic(rng: random.Random, n: int, tries: int = 60) -> WeightedGrap
     return WeightedGraph(n, [(u, v, 1) for u, v in chosen])
 
 
-def reference_common_base(m1, m2, weights, k):
+def reference_common_bases(m1, m2, weights):
     """``min_weight_common_base`` as it was before direct augmentations and
     potentials: every round builds the whole exchange digraph and runs the
     label-correcting search.  Kept as the reference whose tie-breaks the
-    solver must reproduce exactly."""
+    solver must reproduce exactly.  Returns the set after each round,
+    from the empty set up to the largest common independent set: entry k
+    is what the solver must return for size k, and a size past the end
+    has no common independent set.
+
+    It shares no code with the solver: addability and circuits come from
+    ``is_independent`` alone (x lies on the circuit of I + y iff
+    I - x + y is independent), so it takes any two matroids in either
+    order, while the solver takes only a ``GraphicMatroid`` first and a
+    ``PartitionMatroid`` second."""
     g = m1.ground_size
-    if k > g:
-        return None
     hub1, hub2, src_node = g, g + 1, g + 2
     node_count = g + 3
     scale = 2 * g + 4
     in_set = [False] * g
     selection: list[int] = []
-    for _ in range(k):
-        ctx1 = m1.prepare(selection)
-        ctx2 = m2.prepare(selection)
+    sets = [frozenset()]
+    while True:
         out: list[list[tuple[int, int]]] = [[] for _ in range(node_count)]
         sinks: list[int] = []
         any_source = False
@@ -178,40 +184,51 @@ def reference_common_base(m1, m2, weights, k):
             if in_set[y]:
                 continue
             enter = weights[y] * scale + 1
-            if ctx1.addable(y):
+            if m1.is_independent(selection + [y]):
                 any_source = True
                 out[src_node].append((y, enter))
                 if selection:
                     out[hub1].append((y, enter))
             else:
-                for x in ctx1.swap_candidates(y):
+                for x in reference_circuit(m1, selection, y):
                     out[x].append((y, enter))
-            if ctx2.addable(y):
+            if m2.is_independent(selection + [y]):
                 sinks.append(y)
                 if selection:
                     out[y].append((hub2, 0))
             else:
-                for x in ctx2.swap_candidates(y):
+                for x in reference_circuit(m2, selection, y):
                     out[y].append((x, -weights[x] * scale + 1))
         for x in selection:
             out[x].append((hub1, 0))
             out[hub2].append((x, -weights[x] * scale + 1))
         if not any_source or not sinks:
-            return None
+            return sets
         dist, pred = _reference_shortest_paths(out, src_node)
         best_sink = -1
         for y in sinks:
             if dist[y] < inf and (best_sink == -1 or dist[y] < dist[best_sink]):
                 best_sink = y
         if best_sink == -1:
-            return None
+            return sets
         node = best_sink
         while node != src_node:
             if node < g:
                 in_set[node] = not in_set[node]
             node = pred[node]
         selection = [x for x in range(g) if in_set[x]]
-    return frozenset(selection)
+        sets.append(frozenset(selection))
+
+
+def reference_circuit(m, selection, y):
+    """The elements x of independent ``selection`` for which
+    ``selection`` - x + y is independent in m: the circuit of
+    ``selection`` + y, less y, when y is not addable.  Uses only
+    ``m.is_independent``."""
+    return [
+        x for x in selection
+        if m.is_independent([z for z in selection if z != x] + [y])
+    ]
 
 
 def _reference_shortest_paths(out, start):

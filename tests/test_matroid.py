@@ -8,7 +8,13 @@ from itertools import combinations
 
 import pytest
 
-from helpers import graph_from_mask, pairs_of, planted_sb_bipartite, reference_common_base
+from helpers import (
+    graph_from_mask,
+    pairs_of,
+    planted_sb_bipartite,
+    reference_circuit,
+    reference_common_bases,
+)
 from treematch import (
     GraphicMatroid,
     GroundSetMismatchError,
@@ -23,6 +29,12 @@ from treematch.sbst import min_sbst_bipartite
 def free(n):
     """Every subset of range(n) independent: one part, capacity n."""
     return PartitionMatroid([range(n)], [n])
+
+
+def forest(n):
+    """Every subset of range(n) independent, as a graphic matroid: n
+    disjoint edges."""
+    return GraphicMatroid(WeightedGraph(2 * n, [(2 * i, 2 * i + 1, 1) for i in range(n)]))
 
 
 def brute_min_common(m1, m2, weights, k):
@@ -51,6 +63,7 @@ class TestGraphicMatroid:
 class TestPartitionMatroid:
     def test_capacities(self):
         m = PartitionMatroid([[0, 1, 2], [3, 4]], [2, 1])
+        assert m.part_of == [0, 0, 0, 1, 1]
         assert m.is_independent(frozenset([0, 1, 3]))
         assert not m.is_independent(frozenset([0, 1, 2]))
         assert not m.is_independent(frozenset([3, 4]))
@@ -60,6 +73,11 @@ class TestPartitionMatroid:
             PartitionMatroid([[0, 1], [3]], [1, 1])
         with pytest.raises(ValueError):
             PartitionMatroid([[0, 1], [1, 2]], [1, 1])
+        # -1 must not wrap around to the last element, 2.
+        with pytest.raises(ValueError):
+            PartitionMatroid([[-1], [0], [1]], [1, 1, 1])
+        with pytest.raises(ValueError):
+            PartitionMatroid([[0.0], [1]], [1, 1])
 
     def test_capacities_must_match_parts_and_be_nonnegative(self):
         with pytest.raises(ValueError, match="one capacity per part"):
@@ -125,24 +143,28 @@ def star_partition(rng, g):
 
 
 class TestContexts:
-    """``add`` keeps a context equal to a fresh ``prepare``, and
-    ``entering`` inverts ``swap_candidates``."""
+    """Right after ``prepare`` and after every ``add``, each context answer
+    equals its definition through ``is_independent`` alone: y outside I is
+    addable iff I + y is independent, and a non-addable y's circuit holds
+    each x of I for which I - x + y is independent."""
 
-    def assert_like_fresh(self, m, ctx, selection):
-        fresh = m.prepare(selection)
-        chosen = set(selection)
-        for y in range(m.ground_size):
-            assert ctx.addable(y) == fresh.addable(y), (selection, y)
-            if y not in chosen and not fresh.addable(y):
-                assert set(ctx.swap_candidates(y)) == set(fresh.swap_candidates(y))
-        for c in (ctx, fresh):
+    def check(self, m, ctx, selection):
+        outside = [y for y in range(m.ground_size) if y not in selection]
+        addable = {y for y in outside if m.is_independent(selection + [y])}
+        circuits = {
+            y: set(reference_circuit(m, selection, y)) for y in outside if y not in addable
+        }
+        for y in outside:
+            assert ctx.addable(y) == (y in addable), (selection, y)
+        if isinstance(m, GraphicMatroid):
             for x in selection:
-                want = {
-                    y for y in range(m.ground_size)
-                    if y not in chosen and not c.addable(y) and x in c.swap_candidates(y)
-                }
-                got = c.entering(x)
+                want = {y for y, circuit in circuits.items() if x in circuit}
+                got = ctx.entering(x)
                 assert len(got) == len(want) and set(got) == want, (selection, x)
+        else:
+            for y, want in circuits.items():
+                got = ctx.circuit(y)
+                assert len(got) == len(want) and set(got) == want, (selection, y)
 
     def grow(self, rng, m):
         """Add random addable elements one at a time, starting from a
@@ -154,14 +176,14 @@ class TestContexts:
             if m.is_independent(selection + [y]):
                 selection.append(y)
         ctx = m.prepare(selection)
-        self.assert_like_fresh(m, ctx, selection)
+        self.check(m, ctx, selection)
         # Each check calls entering(), so each add must also drop the
         # index that call built.
         for y in order:
             if y not in selection and ctx.addable(y):
                 ctx.add(y)
                 selection.append(y)
-                self.assert_like_fresh(m, ctx, selection)
+                self.check(m, ctx, selection)
 
     def test_forest_context(self):
         rng = random.Random("forest contexts")
@@ -180,7 +202,7 @@ class TestContexts:
 
 class TestMinWeightCommonBase:
     def test_free_free_picks_lightest(self):
-        got = min_weight_common_base(free(4), free(4), [5, 1, 3, 2], 2)
+        got = min_weight_common_base(forest(4), free(4), [5, 1, 3, 2], 2)
         assert got == frozenset([1, 3])
 
     def test_c4_with_per_side_stars(self):
@@ -193,24 +215,33 @@ class TestMinWeightCommonBase:
 
     def test_no_common_base(self):
         # one matroid forbids any pair, so size 2 is unreachable
-        m1 = PartitionMatroid([range(3)], [1])
-        assert min_weight_common_base(m1, free(3), [1, 1, 1], 2) is None
+        m2 = PartitionMatroid([range(3)], [1])
+        assert min_weight_common_base(forest(3), m2, [1, 1, 1], 2) is None
 
     def test_k_larger_than_ground(self):
-        assert min_weight_common_base(free(2), free(2), [1, 1], 3) is None
+        assert min_weight_common_base(forest(2), free(2), [1, 1], 3) is None
 
     def test_k_zero_gives_empty(self):
-        assert min_weight_common_base(free(2), free(2), [1, 1], 0) == frozenset()
+        assert min_weight_common_base(forest(2), free(2), [1, 1], 0) == frozenset()
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError, match="size must be nonnegative"):
-            min_weight_common_base(free(2), free(2), [1, 1], -1)
+            min_weight_common_base(forest(2), free(2), [1, 1], -1)
 
     def test_ground_mismatch_rejected(self):
         with pytest.raises(GroundSetMismatchError):
-            min_weight_common_base(free(2), free(3), [1, 1], 1)
+            min_weight_common_base(forest(2), free(3), [1, 1], 1)
         with pytest.raises(GroundSetMismatchError):
-            min_weight_common_base(free(2), free(2), [1, 1, 1], 1)
+            min_weight_common_base(forest(2), free(2), [1, 1, 1], 1)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [(free, forest), (free, free), (forest, forest)],
+        ids=["partition, graphic", "partition, partition", "graphic, graphic"],
+    )
+    def test_other_pairings_rejected(self, first, second):
+        with pytest.raises(TypeError, match="GraphicMatroid and then a PartitionMatroid"):
+            min_weight_common_base(first(2), second(2), [1, 1], 1)
 
     def test_mst_via_graphic_and_free(self):
         # intersection with a free matroid degenerates to minimum spanning tree
@@ -319,9 +350,10 @@ class TestAgainstReference:
             weights = [draw(rng) for _ in range(ground)]
             graphic = GraphicMatroid(g)
             p1, p2 = random_partition(rng, ground), random_partition(rng, ground)
-            for m1, m2 in ((graphic, p1), (p1, graphic), (p1, p2)):
+            for m1, m2 in ((graphic, p1), (graphic, p2)):
+                sets = reference_common_bases(m1, m2, weights)
                 for k in range(ground + 1):
-                    want = reference_common_base(m1, m2, weights, k)
+                    want = sets[k] if k < len(sets) else None
                     assert min_weight_common_base(m1, m2, weights, k) == want, (
                         g.edges, weights, k,
                     )
@@ -336,7 +368,7 @@ class TestAgainstReference:
         over the rank, one past it and two random sizes below it."""
         rng = random.Random(f"medium reference:{kind}")
         draw = self.MEDIUM[kind]
-        for _ in range(30):
+        for _ in range(45):
             g = sparse_graph(rng, rng.randint(12, 30))
             ground = g.edge_count
             if ground < 2:
@@ -345,18 +377,12 @@ class TestAgainstReference:
             graphic = GraphicMatroid(g)
             stars = star_partition(rng, g)
             other = random_partition(rng, ground)
-            for m1, m2 in ((graphic, stars), (stars, graphic), (stars, other)):
-                lo, hi = 0, ground  # the rank lies in lo..hi
-                while lo < hi:
-                    mid = (lo + hi + 1) // 2
-                    if min_weight_common_base(m1, m2, weights, mid) is None:
-                        hi = mid - 1
-                    else:
-                        lo = mid
-                sizes = {lo, lo + 1} | {rng.randint(1, lo) for _ in range(2) if lo}
+            for m1, m2 in ((graphic, stars), (graphic, other)):
+                sets = reference_common_bases(m1, m2, weights)
+                rank = len(sets) - 1
+                sizes = {rank, rank + 1} | {rng.randint(1, rank) for _ in range(2) if rank}
                 for k in sorted(sizes):
-                    want = reference_common_base(m1, m2, weights, k)
-                    assert (want is None) == (k > lo)
+                    want = sets[k] if k <= rank else None
                     assert min_weight_common_base(m1, m2, weights, k) == want, (
                         g.edges, weights, k,
                     )
@@ -382,57 +408,52 @@ class TestAgainstReference:
     # element outside I passes on into I ("pass-through ties").  In the
     # "passed on again" case an element outside I reaches a smaller
     # distance after it has already passed one on, and its second pass
-    # decides the set.  Each entry: vertex count, (u, v, weight) edges,
-    # then for each matroid its parts and capacities, or None for the
-    # graphic one.
+    # decides the set.  Each case fails when its own rule is taken out of
+    # the solver, and the random corpora above miss the predecessor and
+    # pass-through rules.  Each entry: vertex count, (u, v, weight) edges,
+    # then the parts and capacities of the partition matroid that goes
+    # second to the graph's graphic matroid.
     TIE_CASES = {
         "sink ties": (
-            13,
-            [(0, 2, 1), (0, 6, 0), (0, 11, 2), (1, 7, 0), (2, 8, 2), (2, 12, 1),
-             (3, 7, 0), (4, 10, 1), (4, 12, 1), (5, 12, 2), (6, 10, 1), (7, 9, 1)],
-            ([[0, 1, 2], [3], [4, 5], [6], [7], [8, 9], [10], [11]],
-             [1, 1, 1, 2, 3, 2, 1, 2]),
-            ([[11, 3], [4], [7, 5, 9, 1, 6], [10], [8], [0, 2]], [1, 1, 4, 1, 0, 1]),
+            7,
+            [(0, 1, 0), (0, 2, 2), (0, 3, 0), (0, 4, 2), (0, 5, 0), (0, 6, 0), (1, 2, 2),
+             (1, 3, 0), (1, 5, 2), (2, 3, 2), (2, 5, 1), (3, 5, 1), (4, 5, 1), (4, 6, 1),
+             (5, 6, 0)],
+            [[3, 0, 5, 7], [12, 13, 11, 2, 8, 1, 14, 4], [6, 10, 9]],
+            [1, 3, 3],
         ),
         "predecessor ties": (
-            7,
-            [(0, 2, 9), (0, 3, 8), (0, 5, 3), (0, 6, 0), (1, 3, -1), (1, 4, 3),
-             (1, 5, 0), (1, 6, 2), (2, 3, 1), (2, 4, -4), (3, 4, 2), (4, 5, 9),
-             (4, 6, -3), (5, 6, 5)],
-            ([[8, 9], [5], [4], [12, 10, 13, 0, 7], [11], [6, 3, 1], [2]],
-             [0, 1, 0, 2, 1, 3, 1]),
-            None,
+            8,
+            [(0, 2, 0), (0, 3, 1), (0, 4, 2), (0, 7, 2), (1, 3, 0), (1, 4, 0), (1, 6, 1),
+             (1, 7, 0), (2, 4, 1), (2, 5, 1), (2, 7, 1), (3, 6, 2), (3, 7, 0), (4, 5, 2),
+             (4, 7, 1), (5, 6, 0), (5, 7, 2)],
+            [[12, 3], [8, 0, 14, 4], [7], [16, 2, 1, 11, 10], [5, 9, 13, 6], [15]],
+            [1, 3, 1, 1, 2, 0],
         ),
         "pass-through ties, graphic first": (
             7,
             [(0, 1, 1), (0, 2, 1), (0, 3, 0), (0, 5, 0), (0, 6, 0), (1, 2, 0),
              (1, 6, 0), (2, 5, 0), (2, 6, 1), (3, 5, 0), (4, 5, 0), (5, 6, 0)],
-            None,
-            ([[6, 7, 9, 4, 8], [11], [0, 1, 2, 5, 10], [3]], [2, 1, 2, 1]),
+            [[6, 7, 9, 4, 8], [11], [0, 1, 2, 5, 10], [3]],
+            [2, 1, 2, 1],
         ),
-        "pass-through ties, graphic second": (
-            8,
-            [(0, 4, 1), (0, 6, 2), (0, 7, 1), (2, 6, 1), (3, 4, 0), (3, 5, 1),
-             (3, 7, 1), (4, 5, 0), (5, 6, 1), (6, 7, 2)],
-            ([[5], [2, 6, 7, 8], [4, 9], [0, 1, 3]], [1, 2, 2, 1]),
-            None,
-        ),
-        "passed on again, graphic second": (
-            8,
-            [(0, 1, 0), (0, 2, 0), (0, 3, 0), (0, 4, 0), (0, 5, 1), (0, 6, 1),
-             (0, 7, 2), (1, 3, 2), (1, 6, 1), (1, 7, 0), (2, 5, 1), (2, 6, 1),
-             (3, 4, 0), (3, 6, 1), (4, 6, 2)],
-            ([[11, 13], [3, 9, 2, 5, 6, 12], [7, 1, 14], [0, 8, 4, 10]], [2, 0, 2, 3]),
-            None,
+        "passed on again": (
+            13,
+            [(0, 2, 2), (0, 3, 2), (0, 4, 2), (0, 6, 2), (1, 6, 2), (2, 4, 1), (2, 6, 1),
+             (2, 7, 1), (2, 12, 2), (3, 6, 2), (3, 9, 1), (3, 10, 2), (4, 6, 1), (4, 7, 2),
+             (5, 8, 0), (6, 10, 1), (7, 10, 1), (8, 9, 2), (9, 11, 1), (10, 11, 2)],
+            [[2], [13, 6, 9, 5, 3, 17, 11, 7, 18, 15, 16], [12, 8, 14, 4, 10, 19], [1, 0]],
+            [1, 5, 5, 1],
         ),
     }
 
     @pytest.mark.parametrize("case", sorted(TIE_CASES))
     def test_same_sets_where_ties_decide(self, case):
-        n, edges, first, second = self.TIE_CASES[case]
+        n, edges, parts, caps = self.TIE_CASES[case]
         g = WeightedGraph(n, edges)
         weights = [w for _, _, w in edges]
-        m1, m2 = (GraphicMatroid(g) if m is None else PartitionMatroid(*m) for m in (first, second))
+        m1, m2 = GraphicMatroid(g), PartitionMatroid(parts, caps)
+        sets = reference_common_bases(m1, m2, weights)
         for k in range(g.edge_count + 1):
-            want = reference_common_base(m1, m2, weights, k)
+            want = sets[k] if k < len(sets) else None
             assert min_weight_common_base(m1, m2, weights, k) == want, k
