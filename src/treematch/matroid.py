@@ -111,19 +111,16 @@ class GraphicMatroid:
 
     def is_independent(self, selection: Iterable[int]) -> bool:
         parent = list(range(self.graph.vertex_count))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        edges = self.graph.edges
         for i in selection:
-            u, v, _ = self.graph.edges[i]
-            ru, rv = find(u), find(v)
-            if ru == rv:
+            u, v, _ = edges[i]
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u == v:
                 return False
-            parent[ru] = rv
+            parent[u] = v
         return True
 
     def prepare(self, selection: Sequence[int]) -> "_ForestContext":

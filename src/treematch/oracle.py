@@ -7,24 +7,38 @@ sets with subset-DP matching numbers, and SAT by assignment scan.  Tests
 freeze values computed by these routines and compare the fast paths
 against them.
 
-Both minimum-tree oracles enumerate matching first: a tree contains at
-most one perfect matching M, so every candidate tree is built exactly
-once, as a spanning tree of G with M contracted, and trees without a
-perfect matching are never built.  A strongly balanced tree contains a
-perfect matching, so the SBST oracle filters the same trees by a degree
-test on one side of the bipartition.  In both, ``cap`` counts the trees
-that contain a perfect matching, and among trees of equal weight the one
-with the smallest sorted edge-index tuple wins.
+Both minimum-tree oracles go matching first: a tree contains at most one
+perfect matching M, so every candidate tree is reached exactly once,
+through M, as a spanning tree of g/M (g with the edges of M contracted),
+and trees without a perfect matching are never reached.  In both,
+``cap`` counts the trees that contain a perfect matching, and among
+trees of equal weight the one with the smallest sorted edge-index tuple
+wins.  The two share only the loop over perfect matchings and the
+spanning-tree enumerator.
 
-Per tree, the oracles pay only for what can change the answer.  The
-enumerator scans its last level directly: once n - 2 edges leave two
-components, each later edge between them completes a tree.  The
-minimum-tree loop sums each tree's weight and builds and sorts a key only
-for a tree that can still win: through one matching, the first tree of a
-weight has the least key of that weight, so once it has been compared
-the later ones are skipped.  ``cap`` still counts every tree.  The
-augmentation branch and bound builds a child's state only when it is
-popped and its parent's bound, less one, is still short of the best.
+The PMST oracle pays per tree pattern, not per tree.  The edges of g/M
+fall into bundles, one per pair of contracted vertices they join, and a
+tree of g/M never holds two edges of one bundle, which would close a
+2-cycle.  So each tree through M is one pattern, a spanning tree of the
+simple graph of bundles, plus one edge from each of its bundles.  A
+pattern stands for the product of its bundle sizes in trees, which is
+what ``cap`` counts, and its least tree takes the lightest edge of each
+bundle, ties going to the lower index.
+
+The SBST oracle still builds every tree through M, since strong
+balance depends on which edges a tree holds.  Per tree, it pays only for
+what can change the answer.  The enumerator scans its last level
+directly: once n - 2 edges leave two components, each later edge between
+them completes a tree.  The loop sums each tree's weight and builds and
+sorts a key only for a tree that can still win: through one matching,
+the first tree of a weight has the least key of that weight, so once it
+has been compared the later ones are skipped.  ``cap`` still counts
+every tree.
+
+The augmentation branch and bound builds a child's state only when it
+is popped and its parent's bound, less one, is still short of the best;
+the vertex subsets whose matching numbers adding a pair updates are
+listed once per call and pair.
 
 The one concession to scale is ``sb_tree_search``, a pruned backtracking
 search over edge in/out decisions, used for graphs of maximum degree at
@@ -203,17 +217,17 @@ def _perfect_matchings(g: WeightedGraph) -> Iterator[list[int]]:
 
 
 def _min_matched_tree(
-    g: WeightedGraph,
-    cap: int,
-    accept: Callable[[tuple[int, ...]], bool] | None = None,
+    g: WeightedGraph, cap: int, accept: Callable[[tuple[int, ...]], bool]
 ) -> tuple[EdgeSet, int] | None:
-    """The minimum over (weight, sorted edge-index tuple) of the spanning
-    trees of the connected graph g that contain a perfect matching and
-    pass ``accept``, or None.  Each spanning tree of g/M (the M-edges
-    contracted, the other edges kept, parallel or not) is one tree of g
-    through the perfect matching M, and no tree contains two, so each tree
-    is built once.  ``accept`` sees only a tree that would become the new
-    best.  Past ``cap`` trees built, TruncatedError; every tree counts.
+    """The SBST oracle's per-tree loop: the minimum over (weight, sorted
+    edge-index tuple) of the spanning trees of the connected graph g that
+    contain a perfect matching and pass ``accept``, or None.  Each
+    spanning tree of g/M (the M-edges contracted, the other edges kept,
+    parallel or not) is one tree of g through the perfect matching M, and
+    no tree contains two, so each tree is built once, whole, for
+    ``accept`` to see; ``accept`` sees only a tree that would become the
+    new best.  Past ``cap`` trees built, TruncatedError; every tree
+    counts.
 
     The trees through M come in lexicographic order of their indices into
     ``rest``, which ascend with g's indices, and M's edges are in every
@@ -254,7 +268,7 @@ def _min_matched_tree(
                 continue
             key = tuple(sorted(matching + [rest[i] for i in tree]))
             if best is None or w < best_w or key < best:
-                if accept is not None and not accept(key):
+                if not accept(key):
                     continue
                 best_w, best = w, key
             settled.add(w)
@@ -268,16 +282,59 @@ def brute_force_min_pmst(
     None when no tree has one.  Ties go to the smallest sorted edge-index
     tuple, the first tree in ``enumerate_spanning_trees`` order.
 
-    ``cap`` counts every tree that contains a perfect matching, also the
-    ones skipped without a key; one more raises TruncatedError, and a
-    negative cap raises ValueError.  Odd order and the absence of a
+    The trees through each perfect matching M are taken a pattern at a
+    time (see the module docstring): a pattern stands for the product of
+    its bundle sizes in trees, and its least tree takes the lightest edge
+    of each bundle, ties going to the lower index, since a heavier pick
+    raises the weight and a higher index of the same weight raises the
+    sorted key.  Only a pattern whose weight is at most the best builds
+    that key.
+
+    ``cap`` counts every tree that contains a perfect matching, through
+    the products; once the running count passes it, TruncatedError, and
+    a negative cap raises ValueError.  Odd order and the absence of a
     perfect matching give None without building a tree;
     DisconnectedError when g has no spanning tree.
     """
     _check_cap(cap)
     if not is_connected(g):
         raise DisconnectedError("graph has no spanning tree")
-    return _min_matched_tree(g, cap)
+    n, edges = g.vertex_count, g.edges
+    if n % 2:
+        return None
+    block = [0] * n  # the contracted vertex each vertex belongs to
+    count = best_w = 0
+    best: tuple[int, ...] | None = None
+    for matching in _perfect_matchings(g):
+        for k, e in enumerate(matching):
+            u, v, _ = edges[e]
+            block[u] = block[v] = k
+        base = sum(edges[e][2] for e in matching)
+        bundles: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for i, (u, v, w) in enumerate(edges):
+            a, b = block[u], block[v]
+            if a != b:  # else the edge is in M
+                bundles.setdefault((a, b) if a < b else (b, a), []).append((w, i))
+        size = [len(bundle) for bundle in bundles.values()]
+        light = [min(bundle) for bundle in bundles.values()]
+        for pattern in _spanning_trees(
+            n // 2, [a for a, _ in bundles], [b for _, b in bundles]
+        ):
+            trees, w = 1, base
+            for j in pattern:
+                trees *= size[j]
+                w += light[j][0]
+            count += trees
+            if count > cap:
+                raise TruncatedError(
+                    f"more than {cap} spanning trees contain a perfect matching"
+                )
+            if best is not None and w > best_w:
+                continue
+            key = tuple(sorted(matching + [light[j][1] for j in pattern]))
+            if best is None or w < best_w or key < best:
+                best_w, best = w, key
+    return None if best is None else (frozenset(best), best_w)
 
 
 # ---------------------------------------------------------------------------
@@ -630,12 +687,13 @@ def brute_force_min_sbst(
     """Minimum-weight strongly balanced spanning tree, or None.
 
     A strongly balanced tree contains a perfect matching, so the candidates
-    are the trees ``brute_force_min_pmst`` builds; one that would become
-    the new best is kept when one side of its bipartition has no vertex of
-    tree-degree three or more.  Ties go to the smallest sorted edge-index
-    tuple.  ``cap`` counts every tree that contains a perfect matching.
-    Odd order gives None before either route runs, and the absence of a
-    perfect matching gives None at once.
+    are the trees through each perfect matching, built one by one as in
+    ``_min_matched_tree``; one that would become the new best is kept when
+    one side of its bipartition has no vertex of tree-degree three or
+    more.  Ties go to the smallest sorted edge-index tuple.  ``cap``
+    counts every tree that contains a perfect matching.  Odd order gives
+    None before either route runs, and the absence of a perfect matching
+    gives None at once.
 
     Graphs of maximum degree at most three go to the pruned search
     instead, which reaches sizes where enumeration would be hopeless; it
@@ -674,8 +732,10 @@ def brute_force_opt_aug(h: WeightedGraph, host: HostKind) -> int:
     edge improves each count by at most one.  Each search node carries the
     matching number of every vertex subset and the component labels of its
     graph, built from its parent's when it is popped: not at all when the
-    edges added plus the parent's bound, less one, reach the best.
-    Limited to 8 vertices.
+    edges added plus the parent's bound, less one, reach the best.  The
+    vertex subsets that adding a pair updates are listed when the pair is
+    first added and reused for the rest of the call.  Limited to 8
+    vertices.
     """
     n = h.vertex_count
     if n > 8:
@@ -685,23 +745,30 @@ def brute_force_opt_aug(h: WeightedGraph, host: HostKind) -> int:
     host.validate_graph(h)
     full = (1 << n) - 1
 
+    def walk(u: int, v: int) -> list[tuple[int, int]]:
+        # Each subset s of the vertices other than u and v, descending,
+        # paired with s plus u and v.
+        both = (1 << u) | (1 << v)
+        others = full ^ both
+        pairs = []
+        rest = others
+        while True:
+            pairs.append((rest, rest | both))
+            if not rest:
+                return pairs
+            rest = (rest - 1) & others
+
     def add_edge(
-        dp: bytearray, comp: list[int], u: int, v: int
+        dp: bytearray, comp: list[int], u: int, v: int, pairs: list[tuple[int, int]]
     ) -> tuple[bytearray, list[int]]:
         # A best matching of a subset s holding both ends either leaves uv
         # out or is uv plus a best matching of s without u and v.  Subsets
         # without u and v are read here but never written.
-        both = (1 << u) | (1 << v)
-        others = full ^ both
         dp = bytearray(dp)
-        rest = others
-        while True:
-            with_uv = dp[rest] + 1
-            if with_uv > dp[rest | both]:
-                dp[rest | both] = with_uv
-            if not rest:
-                break
-            rest = (rest - 1) & others
+        for rest, with_uv in pairs:
+            size = dp[rest] + 1
+            if size > dp[with_uv]:
+                dp[with_uv] = size
         cu, cv = comp[u], comp[v]
         if cu != cv:
             comp = [cu if c == cv else c for c in comp]
@@ -709,13 +776,14 @@ def brute_force_opt_aug(h: WeightedGraph, host: HostKind) -> int:
 
     dp, comp = bytearray(1 << n), list(range(n))
     for u, v, _ in h.edges:
-        dp, comp = add_edge(dp, comp, u, v)
+        dp, comp = add_edge(dp, comp, u, v, walk(u, v))
     cands = [
         (u, v)
         for u in range(n)
         for v in range(u + 1, n)
         if not h.has_edge(u, v) and host.admits_edge(u, v)
     ]
+    walks: list[list[tuple[int, int]] | None] = [None] * len(cands)  # made on first use
     best = n * n  # loose upper bound, beaten immediately
     # Depth first over (edges added, the parent's bound, dp and comp, the
     # candidate that makes the child, -1 at the root); children go on in
@@ -729,7 +797,10 @@ def brute_force_opt_aug(h: WeightedGraph, host: HostKind) -> int:
         if added + b - 1 >= best:
             continue
         if c >= 0:
-            dp, comp = add_edge(dp, comp, *cands[c])
+            u, v = cands[c]
+            if walks[c] is None:
+                walks[c] = walk(u, v)
+            dp, comp = add_edge(dp, comp, u, v, walks[c])
         b = max(len(set(comp)) - 1, (n - 2 * dp[full]) // 2)
         if added + b >= best:
             continue

@@ -394,6 +394,32 @@ class TestBruteForceMinPmst:
             want, _ = reference_min_pmst(g)
             assert brute_force_min_pmst(g) == want, trial
 
+    @pytest.mark.parametrize("weights", [(-1, 0, 1), (1, 2)], ids=["-1..1", "1-2"])
+    def test_equals_filtered_enumeration_on_dense_graphs(self, weights):
+        # With a perfect matching contracted, these graphs keep two or
+        # more parallel edges between many pairs of contracted vertices,
+        # and with so few weights many trees of different shapes tie.
+        rng = random.Random(813)
+        shapes = [(6, pairs_of(6))] * 6  # K6
+        for _ in range(10):
+            n = rng.choice((7, 8))
+            shapes.append((n, sorted(rng.sample(pairs_of(n), rng.randint(18, 21)))))
+        for trial, (n, pairs) in enumerate(shapes):
+            g = WeightedGraph(n, [(u, v, rng.choice(weights)) for u, v in pairs])
+            if is_connected(g):
+                want, _ = reference_min_pmst(g)
+                assert brute_force_min_pmst(g) == want, trial
+
+    def test_cap_is_exact_on_seeded_graphs(self):
+        rng = random.Random(814)
+        for trial in range(40):
+            g = connected_random(rng, rng.choice((4, 6, 8)), rng.randrange(0, 12))
+            _, n_trees = reference_min_pmst(g)
+            if n_trees:
+                assert brute_force_min_pmst(g, cap=n_trees) is not None, trial
+                with pytest.raises(TruncatedError):
+                    brute_force_min_pmst(g, cap=n_trees - 1)
+
     @pytest.mark.parametrize(
         "g", [complete(4), complete(6), cube(), petersen()], ids=["K4", "K6", "cube", "petersen"]
     )
