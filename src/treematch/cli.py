@@ -590,7 +590,8 @@ def build_parser() -> argparse.ArgumentParser:
     osub = oracle_p.add_subparsers(dest="which", required=True)
 
     for which, note in (
-        ("minpmst", ""),
+        ("minpmst", "; this bounds a count, not work: K10 needs --cap 30240000 "
+         "and answers in under a second"),
         ("minsbst", "; graphs of maximum degree at most three use the pruned "
          "search's node cap instead"),
     ):

@@ -698,6 +698,9 @@ def brute_force_min_sbst(
     Graphs of maximum degree at most three go to the pruned search
     instead, which reaches sizes where enumeration would be hopeless; it
     ignores ``cap`` and stops at its own node cap, ``DEFAULT_NODE_CAP``.
+    Among trees of equal weight it returns the first one it reaches in its
+    own branching order (``_SbSearch._pick``), which need not be the one
+    with the smallest sorted edge-index tuple.
     """
     _check_cap(cap)
     if g.vertex_count % 2 or not is_connected(g):

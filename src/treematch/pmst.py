@@ -32,35 +32,32 @@ from .errors import (
     UnbalancedError,
     WeightOrderError,
 )
-from .graph import EdgeSet, WeightedGraph, connected_components, is_connected
+from .graph import MINUS, PLUS, EdgeSet, WeightedGraph, connected_components, is_connected
 from .matching import (
     DeficiencyProfile,
     Matching,
     maximum_matching,
 )
 
-COMPLETE = "complete"
-COMPLETE_BIPARTITE = "complete-bipartite"
-
 
 @dataclass(frozen=True)
 class HostKind:
     """The ambient graph edges may be drawn from.
 
-    Either the complete graph on ``n`` vertices, or the complete bipartite
-    graph between two explicit, equal-size sides.
+    Either the complete graph on ``n`` vertices, with ``side`` None, or the
+    complete bipartite graph between two equal-size sides that cover
+    ``0 .. n - 1``, with ``side[v]`` ``PLUS`` or ``MINUS``.  The sides are
+    checked once, by ``complete_bipartite``.
     """
 
-    kind: str
     n: int
-    side_plus: frozenset[int] | None = None
-    side_minus: frozenset[int] | None = None
+    side: tuple[int, ...] | None = None
 
     @classmethod
     def complete(cls, n: int) -> "HostKind":
         if n < 1:
             raise ValueError("host needs at least one vertex")
-        return cls(COMPLETE, n)
+        return cls(n)
 
     @classmethod
     def complete_bipartite(cls, side_plus: Iterable[int], side_minus: Iterable[int]) -> "HostKind":
@@ -73,41 +70,38 @@ class HostKind:
         n = len(plus) + len(minus)
         if n < 2:
             raise ValueError("host needs at least one vertex per side")
-        return cls(COMPLETE_BIPARTITE, n, plus, minus)
+        if plus | minus != frozenset(range(n)):
+            raise HostMismatchError("host sides do not cover the vertex set")
+        return cls(n, tuple(MINUS if v in minus else PLUS for v in range(n)))
+
+    @property
+    def kind(self) -> str:
+        return "complete" if self.side is None else "complete-bipartite"
 
     @property
     def is_bipartite(self) -> bool:
-        return self.kind == COMPLETE_BIPARTITE
+        return self.side is not None
 
     def side_of(self, v: int) -> int:
-        """0 for the plus side, 1 for the minus side (bipartite hosts only)."""
-        if self.side_plus is None or self.side_minus is None:
-            raise AssertionError("side_of needs a bipartite host")
-        if v in self.side_plus:
-            return 0
-        if v in self.side_minus:
-            return 1
-        raise HostMismatchError(f"vertex {v} is on neither side of the host")
+        """``PLUS`` (0) or ``MINUS`` (1) for a vertex of a bipartite host."""
+        if self.side is None:
+            raise HostMismatchError("a complete host has no sides")
+        if not 0 <= v < self.n:
+            raise HostMismatchError(f"vertex {v} is on neither side of the host")
+        return self.side[v]
 
     def admits_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        if self.kind == COMPLETE:
-            return True
-        return self.side_of(u) != self.side_of(v)
+        return u != v and (self.side is None or self.side_of(u) != self.side_of(v))
 
     def validate_graph(self, g: WeightedGraph) -> None:
         """Check that g could be a subgraph of this host."""
         if g.vertex_count != self.n:
             raise HostMismatchError(f"graph has {g.vertex_count} vertices, host has {self.n}")
-        if self.kind == COMPLETE:
+        side = self.side
+        if side is None:
             return
-        if self.side_plus is None or self.side_minus is None:
-            raise AssertionError("bipartite host without sides")
-        if self.side_plus | self.side_minus != frozenset(range(self.n)):
-            raise HostMismatchError("host sides do not cover the vertex set")
         for u, v, _ in g.edges:
-            if self.side_of(u) == self.side_of(v):
+            if side[u] == side[v]:
                 raise HostMismatchError(f"edge {{{u}, {v}}} does not cross the host sides")
 
 
@@ -295,7 +289,7 @@ def greedy_augment(h: WeightedGraph, host: HostKind) -> AugmentationResult:
     bip = host.is_bipartite
     sides = (0, 1) if bip else (0,)
     partner = (1, 0) if bip else (0,)  # the side an exposed vertex may be joined to
-    side = [host.side_of(v) for v in range(n)] if bip else [0] * n
+    side = host.side or [0] * n
 
     m0 = maximum_matching(h)
     mate = m0.mate
@@ -515,7 +509,9 @@ def min_pmst_two_valued(
     host whose edges weigh ``light_weight`` on ``light_edges`` and
     ``heavy_weight`` elsewhere.  Only the first two entries of each light
     edge are read, so a graph's ``(u, v, w)`` edges can be passed as they
-    are.
+    are.  A malformed light edge or a self-loop raises ``BadEdgeError``
+    (a ``ValueError``); one that does not cross a bipartite host's sides
+    raises ``HostMismatchError`` from ``greedy_augment``'s host check.
 
     Every tree with a matching needs n - 1 edges, so only the number of
     heavy edges matters; that number is exactly the augmentation optimum
@@ -528,19 +524,13 @@ def min_pmst_two_valued(
     n = host.n
     if n % 2:
         raise OddVertexCountError(f"{n} vertices cannot be perfectly matched")
-    light = []
-    for item in light_edges:
-        u, v = item[0], item[1]
-        if not host.admits_edge(u, v):
-            raise HostMismatchError(f"light edge {{{u}, {v}}} is not a host edge")
-        light.append((u, v, light_weight))
-    g0 = WeightedGraph(n, light)
-    aug = greedy_augment(g0, host)
+    g0 = WeightedGraph(n, [(item[0], item[1], light_weight) for item in light_edges])
+    aug = greedy_augment(g0, host)  # checks g0 against the host
 
     # Same edges in the same order as aug.graph, so its matching's edge
-    # indices carry over unchanged.
+    # indices and mates carry over unchanged.
     support = g0.with_added_edges([(u, v, heavy_weight) for u, v in aug.added_edges])
-    matching = Matching.from_edges(support, aug.matching.edges)
+    matching = Matching(support, aug.matching.edges, aug.matching.mate)
     tree = build_tree_containing_matching(support, matching)
     heavy = sum(1 for i in tree if support.edges[i][2] == heavy_weight)
     if heavy != aug.added_count:

@@ -350,6 +350,13 @@ class TestAug:
             assert (code, out) == (1, "")
             assert err == "error: --plus-size -3: needs --host bipartite\n"
 
+    @pytest.mark.parametrize("command", ["aug", "minpmst2"])
+    def test_same_side_edge_is_an_input_error(self, tmp_path, capsys, command):
+        path = write_graph(tmp_path, "same.graph", WeightedGraph(4, [(0, 2, 1), (0, 1, 1)]))
+        code, out, err = run(capsys, [command, path, "--host", "bipartite"])
+        assert (code, out) == (1, "")
+        assert err == "error: edge {0, 1} does not cross the host sides\n"
+
     def test_plus_size_half_is_the_default(self, tmp_path, capsys):
         path = write_graph(tmp_path, "path.graph", WeightedGraph(6, [(0, 5, 1), (1, 3, 1)]))
         code, out, _ = run(capsys, ["aug", path, "--host", "bipartite"])

@@ -21,6 +21,7 @@ from treematch import (
     OddDeficiencyError,
     WeightedGraph,
     as_bipartitioned_tree,
+    connected_components,
     deficiency,
     deficiency_profile,
     maximum_matching,
@@ -178,6 +179,29 @@ class TestAgainstWholeTreeSweep:
             hashlib.sha256(",".join(map(str, edges)).encode()).hexdigest()
             == "261666a0d1c3383743dabcfcc416b2118156c05d4e7fb4330c88cb8378a17ffc"
         )
+
+
+class TestMatchingFromMates:
+    """``maximum_matching`` builds its Matching from the search's mates; it
+    equals the one built from the edges those mates match."""
+
+    def test_equals_from_edges_of_the_matched_edges(self):
+        rng = random.Random(29)
+        seen = set()
+        for seed in range(400):
+            n = rng.randint(1, 40)
+            m = rng.randint(0, min(2 * n, n * (n - 1) // 2))
+            g = shuffled_random_graph(seed, n, m)
+            mates = _mates_by_blossom(n, adjacency(g))
+            scanned = [i for i, (u, v, _) in enumerate(g.edges) if mates[u] == v]
+            assert maximum_matching(g) == Matching.from_edges(g, scanned), seed
+            comps = connected_components(g)
+            seen.update(
+                ("odd n" if n % 2 else "even n", "disconnected" if len(comps) > 1 else "connected")
+            )
+            if any(len(c) == 1 for c in comps):
+                seen.add("isolated vertex")
+        assert seen == {"odd n", "even n", "disconnected", "connected", "isolated vertex"}
 
 
 class TestMatchingType:

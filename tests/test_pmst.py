@@ -16,8 +16,10 @@ from treematch import (
     HostMismatchError,
     Infeasible,
     Matching,
+    MINUS,
     OddDeficiencyError,
     OddVertexCountError,
+    PLUS,
     UnbalancedError,
     WeightOrderError,
     WeightedGraph,
@@ -44,6 +46,19 @@ class TestHostKind:
         assert not h.is_bipartite
         assert h.admits_edge(0, 3) and not h.admits_edge(2, 2)
 
+    def test_side_tuple(self):
+        h = HostKind.complete(4)
+        assert h.side is None
+        with pytest.raises(HostMismatchError, match="no sides"):
+            h.side_of(0)
+        h = HostKind.complete_bipartite([0, 3], [2, 1])
+        assert (h.n, h.side) == (4, (PLUS, MINUS, MINUS, PLUS))
+        assert type(h.side) is tuple
+        assert not h.admits_edge(1, 2) and h.admits_edge(2, 3)
+        for v in (-1, 4):
+            with pytest.raises(HostMismatchError, match="neither side"):
+                h.side_of(v)
+
     def test_bipartite_sides(self):
         h = HostKind.complete_bipartite([0, 1], [2, 3])
         assert h.is_bipartite
@@ -57,6 +72,11 @@ class TestHostKind:
     def test_overlapping_sides_rejected(self):
         with pytest.raises(ValueError):
             HostKind.complete_bipartite([0, 1], [1, 2])
+
+    @pytest.mark.parametrize("plus, minus", [([0, 1], [2, 5]), ([1, 2], [3, 4]), ([0], [-1])])
+    def test_sides_must_cover_the_vertices(self, plus, minus):
+        with pytest.raises(HostMismatchError, match="do not cover the vertex set"):
+            HostKind.complete_bipartite(plus, minus)
 
     def test_validate_graph(self):
         h = HostKind.complete_bipartite([0, 1], [2, 3])
@@ -480,8 +500,15 @@ class TestMinPmstTwoValued:
 
     def test_non_host_light_edge_rejected(self):
         host = HostKind.complete_bipartite(range(2), range(2, 4))
-        with pytest.raises(HostMismatchError):
-            min_pmst_two_valued(host, [(0, 1)], 1, 2)
+        with pytest.raises(HostMismatchError, match=r"edge \{0, 1\} does not cross the host"):
+            min_pmst_two_valued(host, [(0, 2), (0, 1)], 1, 2)
+
+    @pytest.mark.parametrize(
+        "host", [HostKind.complete(4), HostKind.complete_bipartite([0, 1], [2, 3])]
+    )
+    def test_self_loop_light_edge_rejected(self, host):
+        with pytest.raises(ValueError, match="self-loop at vertex 2"):
+            min_pmst_two_valued(host, [(0, 2), (2, 2)], 1, 2)
 
     def test_tree_contains_perfect_matching_and_heavy_count(self):
         rng = random.Random(59)
