@@ -13,8 +13,8 @@ through M, as a spanning tree of g/M (g with the edges of M contracted),
 and trees without a perfect matching are never reached.  In both,
 ``cap`` counts the trees that contain a perfect matching, and among
 trees of equal weight the one with the smallest sorted edge-index tuple
-wins.  The two share only the loop over perfect matchings and the
-spanning-tree enumerator.
+wins.  Neither lists every tree to count them: both count a group of
+trees at a time.  The two share only the loop over perfect matchings.
 
 The PMST oracle pays per tree pattern, not per tree.  The edges of g/M
 fall into bundles, one per pair of contracted vertices they join, and a
@@ -25,15 +25,16 @@ pattern stands for the product of its bundle sizes in trees, which is
 what ``cap`` counts, and its least tree takes the lightest edge of each
 bundle, ties going to the lower index.
 
-The SBST oracle still builds every tree through M, since strong
-balance depends on which edges a tree holds.  Per tree, it pays only for
-what can change the answer.  The enumerator scans its last level
-directly: once n - 2 edges leave two components, each later edge between
-them completes a tree.  The loop sums each tree's weight and builds and
-sorts a key only for a tree that can still win: through one matching,
-the first tree of a weight has the least key of that weight, so once it
-has been compared the later ones are skipped.  ``cap`` still counts
-every tree.
+The SBST oracle counts the trees through M by Kirchhoff's matrix-tree
+theorem, a cofactor of the Laplacian of g/M in exact integers by
+Bareiss elimination, and adds that to ``cap``'s count before it builds
+any of them.  It must still build trees, since strong balance depends on
+which edges a tree holds, but only those that can change the answer: an
+include/exclude search over the edges of g/M, on a union-find that rolls
+back, cuts a branch that cannot span or whose weight bound cannot beat
+the best tree.  Through one matching, trees of equal weight arrive in
+order of their keys, so once one of them has been compared the bound
+also cuts the later ones.
 
 The augmentation branch and bound builds a child's state only when it
 is popped and its parent's bound, less one, is still short of the best;
@@ -54,7 +55,10 @@ through one logged setter.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
+from itertools import accumulate
+from math import inf
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -216,6 +220,39 @@ def _perfect_matchings(g: WeightedGraph) -> Iterator[list[int]]:
         k = resume.pop()
 
 
+def _tree_count(k: int, ends_a: Sequence[int], ends_b: Sequence[int]) -> int:
+    """Number of spanning trees of the connected multigraph on
+    ``0 .. k - 1`` whose edge i joins ``ends_a[i]`` and ``ends_b[i]``.
+
+    By Kirchhoff's matrix-tree theorem it is the determinant of the
+    Laplacian with vertex 0's row and column struck out, here by Bareiss's
+    fraction-free elimination, whose every division is exact.  On a
+    connected graph that minor is positive definite, so each pivot, a
+    leading principal minor, is positive and no rows are swapped.
+    """
+    size = k - 1
+    a = [[0] * size for _ in range(size)]
+    for x, y in zip(ends_a, ends_b):
+        x, y = x - 1, y - 1  # vertex 0 is struck out, as -1
+        if x >= 0:
+            a[x][x] += 1
+        if y >= 0:
+            a[y][y] += 1
+            if x >= 0:
+                a[x][y] -= 1
+                a[y][x] -= 1
+    prev = 1
+    for p in range(size - 1):
+        top, pivot = a[p], a[p][p]
+        for r in range(p + 1, size):
+            row = a[r]
+            f = row[p]
+            for c in range(p + 1, size):
+                row[c] = (row[c] * pivot - f * top[c]) // prev
+        prev = pivot
+    return a[-1][-1] if size else 1
+
+
 def _min_matched_tree(
     g: WeightedGraph, cap: int, accept: Callable[[tuple[int, ...]], bool]
 ) -> tuple[EdgeSet, int] | None:
@@ -224,54 +261,135 @@ def _min_matched_tree(
     contain a perfect matching and pass ``accept``, or None.  Each
     spanning tree of g/M (the M-edges contracted, the other edges kept,
     parallel or not) is one tree of g through the perfect matching M, and
-    no tree contains two, so each tree is built once, whole, for
-    ``accept`` to see; ``accept`` sees only a tree that would become the
-    new best.  Past ``cap`` trees built, TruncatedError; every tree
-    counts.
+    no tree contains two.  The trees through M are counted by
+    ``_tree_count`` before any is built; once the running count passes
+    ``cap``, TruncatedError.
 
-    The trees through M come in lexicographic order of their indices into
-    ``rest``, which ascend with g's indices, and M's edges are in every
-    key; so of two trees through M of equal weight the earlier has the
-    smaller key.  Once a tree through M of weight w has been compared,
-    whether it became the best or lost on its key, the later ones of
-    weight w are skipped without a key.  One that ``accept`` rejects
-    settles nothing, so ``accept`` sees the trees it would see without
-    the skipping.
+    The trees through M are then searched, include first, over ``rest``
+    in index order, on a union-find that rolls back, so they come in
+    lexicographic order of their indices into ``rest``.  Those ascend
+    with g's indices, and M's edges are in every key, so of two trees
+    through M of equal weight the earlier has the smaller key.  A branch
+    is cut when its chosen edges plus the later ones cannot span, or when
+    its weight plus the ``need`` lightest later weights, a lower bound on
+    every tree below it, is above the best weight, or reaches it once a
+    tree through M of the best weight has been compared, whether it
+    became the best or lost on its key.  One that ``accept`` rejects
+    settles nothing, so ``accept`` sees the trees it would see if every
+    tree were built, and only those that would become the new best.
     """
     n, m, edges = g.vertex_count, g.edge_count, g.edges
     if n % 2:
         return None
+    k = n // 2
     block = [0] * n  # the contracted vertex each vertex belongs to
     count = best_w = 0
     best: tuple[int, ...] | None = None
+    bar = inf  # a tree is looked at only when its weight is below this
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def joined_later(j: int) -> bool:
+        # Do the chosen edges plus rest[j + 1:] join the ends of rest[j]?
+        trial = parent[:]
+        a, b = find(ends_a[j]), find(ends_b[j])
+        for t in range(j + 1, r):
+            x, y = ends_a[t], ends_b[t]
+            while trial[x] != x:
+                trial[x] = x = trial[trial[x]]
+            while trial[y] != y:
+                trial[y] = y = trial[trial[y]]
+            if x != y:
+                trial[x] = y
+                while trial[a] != a:
+                    a = trial[a]
+                while trial[b] != b:
+                    b = trial[b]
+                if a == b:
+                    return True
+        return False
+
     for matching in _perfect_matchings(g):
-        for k, e in enumerate(matching):
+        for j, e in enumerate(matching):
             u, v, _ = edges[e]
-            block[u] = block[v] = k
-        base = sum(edges[e][2] for e in matching)
+            block[u] = block[v] = j
         taken = set(matching)
         rest = [i for i in range(m) if i not in taken]
+        ends_a = [block[edges[i][0]] for i in rest]
+        ends_b = [block[edges[i][1]] for i in rest]
+        count += _tree_count(k, ends_a, ends_b)
+        if count > cap:
+            raise TruncatedError(
+                f"more than {cap} spanning trees contain a perfect matching"
+            )
         rest_w = [edges[i][2] for i in rest]
-        settled: set[int] = set()  # weights of trees through M compared and not rejected
-        for tree in _spanning_trees(
-            n // 2, [block[edges[i][0]] for i in rest], [block[edges[i][1]] for i in rest]
-        ):
-            count += 1
-            if count > cap:
-                raise TruncatedError(
-                    f"more than {cap} spanning trees contain a perfect matching"
-                )
-            w = base
-            for i in tree:
-                w += rest_w[i]
-            if best is not None and (w > best_w or w in settled):
-                continue
-            key = tuple(sorted(matching + [rest[i] for i in tree]))
-            if best is None or w < best_w or key < best:
-                if not accept(key):
-                    continue
-                best_w, best = w, key
-            settled.add(w)
+        r = len(rest)
+        # low[i][j]: the sum of the j lightest weights of rest[i:], j < k.
+        low = [[0]] * (r + 1)
+        lightest: list[int] = []
+        for i in range(r - 1, -1, -1):
+            insort(lightest, rest_w[i])
+            del lightest[k - 1 :]
+            low[i] = list(accumulate(lightest, initial=0))
+        if best is not None:
+            bar = best_w + 1  # nothing through M has been compared yet
+        w = sum(edges[e][2] for e in matching)
+        parent = list(range(k))
+        size = [1] * k
+        chosen: list[int] = []
+        absorbed: list[int] = []  # the root each chosen edge hung below another
+
+        # The loop stands at the node that has decided rest[:i] and kept
+        # ``chosen``, of weight w, and descends while ``ok``: the node can
+        # still span and its bound is below ``bar``.
+        i = 0
+        ok = w + low[0][k - 1] < bar
+        while True:
+            while ok:
+                need = k - 1 - len(chosen)
+                if not need:
+                    key = tuple(sorted(matching + [rest[t] for t in chosen]))
+                    if best is None or w < best_w or key < best:
+                        if accept(key):
+                            best_w, best = w, key
+                            bar = w
+                    else:
+                        bar = w  # a tree of weight best_w lost on its key
+                    break
+                ru, rv = find(ends_a[i]), find(ends_b[i])
+                wi = w + rest_w[i]
+                i += 1
+                if ru != rv and wi + low[i][need - 1] < bar:
+                    if size[ru] < size[rv]:
+                        ru, rv = rv, ru
+                    parent[rv] = ru
+                    size[ru] += size[rv]
+                    chosen.append(i - 1)
+                    absorbed.append(rv)
+                    w = wi
+                else:  # on without rest[i - 1]
+                    ok = (
+                        need < len(low[i])
+                        and w + low[i][need] < bar
+                        and (ru == rv or joined_later(i - 1))
+                    )
+            # Back to the last edge taken, and on without it.
+            while chosen:
+                j = chosen.pop()
+                rv = absorbed.pop()
+                size[parent[rv]] -= size[rv]
+                parent[rv] = rv
+                w -= rest_w[j]
+                i = j + 1
+                need = k - 1 - len(chosen)
+                if need < len(low[i]) and w + low[i][need] < bar and joined_later(j):
+                    ok = True
+                    break
+            else:
+                break
     return None if best is None else (frozenset(best), best_w)
 
 
@@ -687,11 +805,13 @@ def brute_force_min_sbst(
     """Minimum-weight strongly balanced spanning tree, or None.
 
     A strongly balanced tree contains a perfect matching, so the candidates
-    are the trees through each perfect matching, built one by one as in
-    ``_min_matched_tree``; one that would become the new best is kept when
-    one side of its bipartition has no vertex of tree-degree three or
-    more.  Ties go to the smallest sorted edge-index tuple.  ``cap``
-    counts every tree that contains a perfect matching.  Odd order gives
+    are the trees through each perfect matching, counted by Kirchhoff's
+    theorem and searched under a weight bound in ``_min_matched_tree``;
+    one that would become the new best is kept when one side of its
+    bipartition has no vertex of tree-degree three or more.  Ties go to
+    the smallest sorted edge-index tuple.  ``cap`` counts every tree that
+    contains a perfect matching, so K10 answers at ``cap=30_240_000`` and
+    raises TruncatedError one below, at once either way.  Odd order gives
     None before either route runs, and the absence of a perfect matching
     gives None at once.
 

@@ -256,27 +256,31 @@ def _reference_shortest_paths(out, start):
 
 
 def tree_has_perfect_matching(g: WeightedGraph, tree) -> bool:
-    """Strip leaves with their neighbours; a tree has a perfect matching
-    exactly when this removes every vertex."""
+    """Root the spanning tree at 0 and match bottom up: children come
+    before their parent, and a vertex that no child took must take its
+    parent.  A tree has a perfect matching exactly when no vertex finds
+    its parent already taken and the root ends up matched."""
     n = g.vertex_count
-    adj: list[set[int]] = [set() for _ in range(n)]
+    adj: list[list[int]] = [[] for _ in range(n)]
     for i in tree:
         u, v, _ = g.edges[i]
-        adj[u].add(v)
-        adj[v].add(u)
-    alive = set(range(n))
-    leaves = [v for v in range(n) if len(adj[v]) == 1]
-    while leaves:
-        leaf = leaves.pop()
-        if leaf not in alive or len(adj[leaf]) != 1:
-            continue
-        (partner,) = adj[leaf]
-        alive -= {leaf, partner}
-        for w in adj[partner] - {leaf}:
-            adj[w].discard(partner)
-            if len(adj[w]) == 1:
-                leaves.append(w)
-    return not alive
+        adj[u].append(v)
+        adj[v].append(u)
+    parent = [-1] * n
+    order = [0]  # breadth first, so each vertex comes after its parent
+    for x in order:
+        for y in adj[x]:
+            if y != parent[x]:
+                parent[y] = x
+                order.append(y)
+    matched = [False] * n
+    for x in reversed(order):
+        if not matched[x]:
+            p = parent[x]
+            if p < 0 or matched[p]:
+                return False
+            matched[x] = matched[p] = True
+    return True
 
 
 def reference_min_pmst(g: WeightedGraph, accept=None):

@@ -294,6 +294,33 @@ class TestDeterminantCount:
         assert spanning_tree_count_determinant(WeightedGraph(1, [])) == 1
 
 
+class TestMatchedTreeCount:
+    def test_equals_the_trees_listed_through_each_matching(self):
+        # Per perfect matching M of seeded connected graphs: the Kirchhoff
+        # count of g/M against the trees of g/M that the enumerator lists.
+        # On 2 vertices g/M is one vertex; on the denser graphs g/M has
+        # parallel edges.
+        rng = random.Random(815)
+        matchings = with_parallel = 0
+        for trial in range(80):
+            n = 2 if trial < 4 else rng.choice((4, 6, 8))
+            g = connected_random(rng, n, rng.randrange(0, min(12, n * (n - 1) // 2 - n + 2)))
+            block = [0] * n
+            for matching in oracle._perfect_matchings(g):
+                for j, e in enumerate(matching):
+                    u, v, _ = g.edges[e]
+                    block[u] = block[v] = j
+                rest = [i for i in range(g.edge_count) if i not in matching]
+                ends_a = [block[g.edges[i][0]] for i in rest]
+                ends_b = [block[g.edges[i][1]] for i in rest]
+                listed = sum(1 for _ in oracle._spanning_trees(n // 2, ends_a, ends_b))
+                assert oracle._tree_count(n // 2, ends_a, ends_b) == listed, (trial, matching)
+                matchings += 1
+                bundles = {frozenset(p) for p in zip(ends_a, ends_b)}
+                with_parallel += len(bundles) < len(rest)
+        assert matchings >= 200 and with_parallel >= 100, (matchings, with_parallel)
+
+
 class TestBruteForceMinPmst:
     def test_single_edge(self):
         got = brute_force_min_pmst(WeightedGraph(2, [(0, 1, 5)]))
@@ -625,6 +652,55 @@ class TestBruteForceMinSbst:
         assert brute_force_min_sbst(g, cap=n_trees) is not None
         with pytest.raises(TruncatedError, match=f"more than {n_trees - 1} "):
             brute_force_min_sbst(g, cap=n_trees - 1)
+
+    def test_cap_is_exact_on_seeded_dense_graphs(self):
+        # On the matching-first route: an answer at the number of trees
+        # with a perfect matching, and one fewer raises with that number.
+        rng = random.Random(816)
+        checked = 0
+        while checked < 40:
+            n = rng.choice((6, 8))
+            g = connected_random(rng, n, rng.randrange(2, 10))
+            if max_degree(g) < 4:
+                continue
+            want, total = reference_min_sbst(g)
+            if not total:
+                continue
+            assert brute_force_min_sbst(g, cap=total) == want, checked
+            message = f"^more than {total - 1} spanning trees contain a perfect matching$"
+            with pytest.raises(TruncatedError, match=message):
+                brute_force_min_sbst(g, cap=total - 1)
+            checked += 1
+
+    def test_accept_sees_only_trees_that_would_become_the_best(self):
+        # ``accept`` here turns down every tree whose index sum is a
+        # multiple of three, so rejections occur; each tree it is asked
+        # about must beat the best it has accepted, on (weight, key).
+        rng = random.Random(817)
+        asked = rejected = 0
+        for trial in range(150):
+            n = rng.choice((4, 6, 8))
+            g = connected_random(rng, n, rng.randrange(0, 12))
+            if trial % 2:
+                g = WeightedGraph(n, [(u, v, rng.choice((1, 2))) for u, v, _ in g.edges])
+            best = None
+
+            def accept(tree):
+                nonlocal best, asked, rejected
+                key = (sum(g.edges[i][2] for i in tree), tree)
+                assert best is None or key < best, (trial, key, best)
+                asked += 1
+                if sum(tree) % 3 == 0:
+                    rejected += 1
+                    return False
+                best = key
+                return True
+
+            got = oracle._min_matched_tree(g, oracle.DEFAULT_TREE_CAP, accept)
+            want, _ = reference_min_pmst(g, lambda tree: sum(tree) % 3 != 0)
+            assert got == want, trial
+            assert got is None or (got[1], tuple(sorted(got[0]))) == best
+        assert asked >= 300 and rejected >= 100, (asked, rejected)
 
     @pytest.mark.parametrize(
         "g",
