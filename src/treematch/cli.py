@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 from itertools import chain
 from typing import Sequence
@@ -65,8 +67,14 @@ def _write_text(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8") as fh:
+    # Overwrite in place, then cut what is left of the old text, rather than
+    # truncate on open: on ext4 (its auto_da_alloc default), closing a file
+    # that was truncated to zero and rewritten starts its writeback within
+    # the call, which can stall it for milliseconds.
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
         fh.write(text)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
 
 
 def _load(path: str) -> WeightedGraph:

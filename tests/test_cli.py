@@ -625,6 +625,18 @@ class TestGen:
         assert out == ""
         assert path.read_text() == format_graph(cube(), comment="gen cube")
 
+    def test_gen_replaces_a_longer_file(self, tmp_path, capsys):
+        path = tmp_path / "k.graph"
+        path.write_text("c old\n" * 1000)
+        code, _, _ = run(capsys, ["gen", "complete", "3", "--out", str(path)])
+        assert code == 0
+        assert path.read_text() == format_graph(complete(3), comment="gen complete 3")
+
+    def test_gen_into_a_device(self, capsys):
+        code, out, _ = run(capsys, ["gen", "complete", "3", "--out", os.devnull])
+        assert code == 0
+        assert out == ""
+
 
 class TestOracleCommands:
     def test_minpmst(self, tmp_path, capsys):
