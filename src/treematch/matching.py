@@ -229,8 +229,7 @@ def maximum_matching(g: WeightedGraph) -> Matching:
         adj[v].append(u)
     mate = _mates_by_blossom(n, adj)
     # The graph is simple, so each matched pair is exactly one edge.
-    edge_index = g.edge_index
-    edges = frozenset([edge_index(v, u) for v, u in enumerate(mate) if u > v])
+    edges = frozenset([i for i, (u, v, _) in enumerate(g.edges) if mate[u] == v])
     return Matching(g, edges, tuple([None if u < 0 else u for u in mate]))
 
 

@@ -13,28 +13,19 @@ through M, as a spanning tree of g/M (g with the edges of M contracted),
 and trees without a perfect matching are never reached.  In both,
 ``cap`` counts the trees that contain a perfect matching, and among
 trees of equal weight the one with the smallest sorted edge-index tuple
-wins.  Neither lists every tree to count them: both count a group of
-trees at a time.  The two share only the loop over perfect matchings.
+wins.  Both take the same search, which the SBST oracle runs with a
+filter on the trees it keeps.
 
-The PMST oracle pays per tree pattern, not per tree.  The edges of g/M
-fall into bundles, one per pair of contracted vertices they join, and a
-tree of g/M never holds two edges of one bundle, which would close a
-2-cycle.  So each tree through M is one pattern, a spanning tree of the
-simple graph of bundles, plus one edge from each of its bundles.  A
-pattern stands for the product of its bundle sizes in trees, which is
-what ``cap`` counts, and its least tree takes the lightest edge of each
-bundle, ties going to the lower index.
-
-The SBST oracle counts the trees through M by Kirchhoff's matrix-tree
+The search counts the trees through M by Kirchhoff's matrix-tree
 theorem, a cofactor of the Laplacian of g/M in exact integers by
-Bareiss elimination, and adds that to ``cap``'s count before it builds
-any of them.  It must still build trees, since strong balance depends on
-which edges a tree holds, but only those that can change the answer: an
-include/exclude search over the edges of g/M, on a union-find that rolls
-back, cuts a branch that cannot span or whose weight bound cannot beat
-the best tree.  Through one matching, trees of equal weight arrive in
-order of their keys, so once one of them has been compared the bound
-also cuts the later ones.
+Bareiss elimination, after striking out the vertices on a single edge,
+and adds that to ``cap``'s count before it builds any of them.  It then
+builds only the trees that can change the answer: an include/exclude
+search over the edges of g/M, on a union-find that rolls back, cuts a
+branch that cannot span or whose weight bound cannot beat the best tree.
+Through one matching, trees of equal weight arrive in order of their
+keys, so once one of them has been compared the bound also cuts the
+later ones.
 
 The augmentation branch and bound builds a child's state only when it
 is popped and its parent's bound, less one, is still short of the best;
@@ -224,25 +215,42 @@ def _tree_count(k: int, ends_a: Sequence[int], ends_b: Sequence[int]) -> int:
     """Number of spanning trees of the connected multigraph on
     ``0 .. k - 1`` whose edge i joins ``ends_a[i]`` and ``ends_b[i]``.
 
-    By Kirchhoff's matrix-tree theorem it is the determinant of the
-    Laplacian with vertex 0's row and column struck out, here by Bareiss's
-    fraction-free elimination, whose every division is exact.  On a
-    connected graph that minor is positive definite, so each pivot, a
+    A vertex on exactly one edge is in every tree through that edge, so
+    such vertices are struck out, repeatedly, without changing the count;
+    the Laplacian's diagonal holds the degrees, and a struck vertex's one
+    neighbour is the -1 in its row.  A vertex joined to one neighbour by
+    parallel edges has degree two or more and stays.  By Kirchhoff's
+    matrix-tree theorem the count is then the determinant of the Laplacian
+    of what is left with its first row and column struck out, here by
+    Bareiss's fraction-free elimination, whose every division is exact.
+    On a connected graph that minor is positive definite, so each pivot, a
     leading principal minor, is positive and no rows are swapped.
     """
-    size = k - 1
-    a = [[0] * size for _ in range(size)]
+    a = [[0] * k for _ in range(k)]
     for x, y in zip(ends_a, ends_b):
-        x, y = x - 1, y - 1  # vertex 0 is struck out, as -1
-        if x >= 0:
-            a[x][x] += 1
-        if y >= 0:
-            a[y][y] += 1
-            if x >= 0:
-                a[x][y] -= 1
-                a[y][x] -= 1
+        ax, ay = a[x], a[y]
+        ax[x] += 1
+        ay[y] += 1
+        ax[y] -= 1
+        ay[x] -= 1
+    leaves = [x for x in range(k) if a[x][x] == 1]
+    if leaves:
+        while leaves:
+            x = leaves.pop()
+            ax = a[x]
+            if ax[x] == 1:  # else struck, or the last vertex left
+                ax[x] = 0
+                y = ax.index(-1)
+                ay = a[y]
+                ay[x] = 0
+                ay[y] -= 1
+                if ay[y] == 1:
+                    leaves.append(y)
+        keep = [x for x in range(k) if a[x][x]]
+        a = [[a[r][c] for c in keep] for r in keep]
+    size = len(a)
     prev = 1
-    for p in range(size - 1):
+    for p in range(1, size - 1):
         top, pivot = a[p], a[p][p]
         for r in range(p + 1, size):
             row = a[r]
@@ -250,13 +258,13 @@ def _tree_count(k: int, ends_a: Sequence[int], ends_b: Sequence[int]) -> int:
             for c in range(p + 1, size):
                 row[c] = (row[c] * pivot - f * top[c]) // prev
         prev = pivot
-    return a[-1][-1] if size else 1
+    return a[-1][-1] if size > 1 else 1
 
 
 def _min_matched_tree(
     g: WeightedGraph, cap: int, accept: Callable[[tuple[int, ...]], bool]
 ) -> tuple[EdgeSet, int] | None:
-    """The SBST oracle's per-tree loop: the minimum over (weight, sorted
+    """Both minimum-tree oracles' search: the minimum over (weight, sorted
     edge-index tuple) of the spanning trees of the connected graph g that
     contain a perfect matching and pass ``accept``, or None.  Each
     spanning tree of g/M (the M-edges contracted, the other edges kept,
@@ -400,59 +408,19 @@ def brute_force_min_pmst(
     None when no tree has one.  Ties go to the smallest sorted edge-index
     tuple, the first tree in ``enumerate_spanning_trees`` order.
 
-    The trees through each perfect matching M are taken a pattern at a
-    time (see the module docstring): a pattern stands for the product of
-    its bundle sizes in trees, and its least tree takes the lightest edge
-    of each bundle, ties going to the lower index, since a heavier pick
-    raises the weight and a higher index of the same weight raises the
-    sorted key.  Only a pattern whose weight is at most the best builds
-    that key.
+    The trees through each perfect matching M are counted by Kirchhoff's
+    theorem and searched under a weight bound in ``_min_matched_tree``,
+    which here accepts every tree.
 
-    ``cap`` counts every tree that contains a perfect matching, through
-    the products; once the running count passes it, TruncatedError, and
-    a negative cap raises ValueError.  Odd order and the absence of a
-    perfect matching give None without building a tree;
-    DisconnectedError when g has no spanning tree.
+    ``cap`` counts every tree that contains a perfect matching; once the
+    running count passes it, TruncatedError, and a negative cap raises
+    ValueError.  Odd order and the absence of a perfect matching give None
+    without building a tree; DisconnectedError when g has no spanning tree.
     """
     _check_cap(cap)
     if not is_connected(g):
         raise DisconnectedError("graph has no spanning tree")
-    n, edges = g.vertex_count, g.edges
-    if n % 2:
-        return None
-    block = [0] * n  # the contracted vertex each vertex belongs to
-    count = best_w = 0
-    best: tuple[int, ...] | None = None
-    for matching in _perfect_matchings(g):
-        for k, e in enumerate(matching):
-            u, v, _ = edges[e]
-            block[u] = block[v] = k
-        base = sum(edges[e][2] for e in matching)
-        bundles: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for i, (u, v, w) in enumerate(edges):
-            a, b = block[u], block[v]
-            if a != b:  # else the edge is in M
-                bundles.setdefault((a, b) if a < b else (b, a), []).append((w, i))
-        size = [len(bundle) for bundle in bundles.values()]
-        light = [min(bundle) for bundle in bundles.values()]
-        for pattern in _spanning_trees(
-            n // 2, [a for a, _ in bundles], [b for _, b in bundles]
-        ):
-            trees, w = 1, base
-            for j in pattern:
-                trees *= size[j]
-                w += light[j][0]
-            count += trees
-            if count > cap:
-                raise TruncatedError(
-                    f"more than {cap} spanning trees contain a perfect matching"
-                )
-            if best is not None and w > best_w:
-                continue
-            key = tuple(sorted(matching + [light[j][1] for j in pattern]))
-            if best is None or w < best_w or key < best:
-                best_w, best = w, key
-    return None if best is None else (frozenset(best), best_w)
+    return _min_matched_tree(g, cap, lambda tree: True)
 
 
 # ---------------------------------------------------------------------------

@@ -320,6 +320,37 @@ class TestMatchedTreeCount:
                 with_parallel += len(bundles) < len(rest)
         assert matchings >= 200 and with_parallel >= 100, (matchings, with_parallel)
 
+    @pytest.mark.parametrize(
+        "k, pairs",
+        [
+            (8, [(v, v + 1) for v in range(7)]),
+            (7, [(3, 2), (2, 1), (1, 0), (0, 4), (4, 5), (5, 6)]),
+            (10, [(0, 1), (1, 2), (2, 3), (0, 4), (1, 5), (1, 6), (2, 7), (3, 8), (3, 9)]),
+            (11, [(v, (v + 1) % 6) for v in range(6)] + [(5, 6), (6, 7), (7, 8), (2, 9), (9, 10)]),
+            (6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 2)]),
+            (4, [(0, 1), (1, 2), (2, 0), (2, 3), (2, 3)]),
+            (4, [(0, 1), (1, 2), (1, 2), (2, 3)]),
+            (7, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (4, 1), (5, 4), (6, 4), (6, 4)]),
+        ],
+        ids=[
+            "path",
+            "path-from-the-middle",
+            "caterpillar",
+            "cycle-with-hanging-paths",
+            "cycle-off-vertex-0",
+            "parallel-pendant",
+            "parallel-after-strike",
+            "caterpillar-with-parallel-leg",
+        ],
+    )
+    def test_vertices_on_one_edge_are_struck_out(self, k, pairs):
+        # Pendant vertices and paths, with vertex 0 at either end or in
+        # the middle; a vertex held by two parallel edges must stay.
+        ends_a = [a for a, _ in pairs]
+        ends_b = [b for _, b in pairs]
+        listed = sum(1 for _ in oracle._spanning_trees(k, ends_a, ends_b))
+        assert oracle._tree_count(k, ends_a, ends_b) == listed
+
 
 class TestBruteForceMinPmst:
     def test_single_edge(self):
