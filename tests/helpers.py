@@ -1,8 +1,8 @@
 """Shared test utilities: mask-indexed small graphs, Prüfer decoding,
 seeded random instance builders, the reference minimum-PMST, minimum-SBST,
 matroid-intersection, blossom and component searches, graph parser, tree
-completion, spanning-tree enumerator and augmentation branch and bound
-used across the suite, and two referees that only the
+completion, spanning-tree enumerator, augmentation branch and bound and
+greedy augmentation used across the suite, and two referees that only the
 tests need: a Kirchhoff spanning-tree count and a subset-DP maximum
 matching size."""
 
@@ -21,7 +21,7 @@ from treematch.errors import (
     TooLargeError,
 )
 from treematch.graph import BadEdgeError, _tokenized_lines
-from treematch.matching import Matching
+from treematch.matching import Matching, maximum_matching
 from treematch.oracle import enumerate_spanning_trees
 
 
@@ -701,3 +701,121 @@ def reference_opt_aug(h: WeightedGraph, host) -> int:
         for i in range(len(cands) - 1, pos - 1, -1):
             stack.append((i + 1, added + 1, *add_edge(dp, comp, *cands[i])))
     return best
+
+
+def reference_greedy_augment(h: WeightedGraph, host):
+    """``pmst.greedy_augment``'s stage loops as they were before heaps:
+    every step rescans the live components ordered by smallest vertex,
+    O(c^2) per stage.  Starts from the same maximum matching and returns
+    ``(added_edges, stage_added, matched_pairs)``, the last as
+    ``res.graph.edge_pairs(res.matching.edges)`` lists them.  Kept as the
+    reference whose tie rules the greedy must reproduce edge for edge."""
+    n = h.vertex_count
+    side = host.side or (0,) * n
+    mate = list(maximum_matching(h).mate)
+    # Per live root (its smallest vertex): smallest vertex of each host
+    # side, and ascending exposed vertices of each side (a complete host
+    # uses side 0 only).
+    lowest: dict[int, list[int | None]] = {}
+    exposed: dict[int, list[list[int]]] = {}
+    root_of = list(range(n))
+    for comp in reference_connected_components(h):
+        r = comp[0]
+        for v in comp:
+            root_of[v] = r
+        lowest[r] = [next((v for v in comp if side[v] == s), None) for s in (0, 1)]
+        exposed[r] = [[v for v in comp if mate[v] is None and side[v] == s] for s in (0, 1)]
+
+    def defic(r: int) -> int:
+        return len(exposed[r][0]) + len(exposed[r][1])
+
+    def merge(r1: int, r2: int) -> None:
+        root, other = min(r1, r2), max(r1, r2)
+        for v in range(n):
+            if root_of[v] == other:
+                root_of[v] = root
+        lowest[root] = [
+            min((x for x in (a, b) if x is not None), default=None)
+            for a, b in zip(lowest[root], lowest.pop(other))
+        ]
+        exposed[root] = [sorted(a + b) for a, b in zip(exposed[root], exposed.pop(other))]
+
+    added: list[tuple[int, int]] = []
+
+    def add_matching_edge(v1: int, v2: int) -> None:
+        added.append((min(v1, v2), max(v1, v2)))
+        mate[v1], mate[v2] = v2, v1
+        r1, r2 = root_of[v1], root_of[v2]
+        if r1 != r2:
+            merge(r1, r2)
+        for x in (v1, v2):
+            exposed[root_of[x]][side[x]].remove(x)
+
+    def pick_exposed_pair(r1: int, r2: int):
+        # Smallest-id pair; a bipartite host only allows opposite sides.
+        if host.side is None:
+            return exposed[r1][0][0], exposed[r2][0][0]
+        combos = [
+            (exposed[r1][s][0], exposed[r2][1 - s][0])
+            for s in (0, 1)
+            if exposed[r1][s] and exposed[r2][1 - s]
+        ]
+        return min(combos) if combos else None
+
+    # Stage 1: a deficient component against one of deficiency >= 2.
+    while True:
+        roots = sorted(exposed)
+        pair = None
+        for r1 in roots:
+            if defic(r1) < 1:
+                continue
+            for r2 in roots:
+                if r2 != r1 and defic(r2) >= 2:
+                    pair = pick_exposed_pair(r1, r2)
+                    if pair is not None:
+                        break
+            if pair is not None:
+                break
+        if pair is None:
+            break
+        add_matching_edge(*pair)
+    ends = [len(added)]
+
+    # Stage 2: pair up deficiency-one components.
+    while True:
+        ones = [r for r in sorted(exposed) if defic(r) == 1]
+        pair = None
+        for i, r1 in enumerate(ones):
+            for r2 in ones[i + 1 :]:
+                pair = pick_exposed_pair(r1, r2)
+                if pair is not None:
+                    break
+            if pair is not None:
+                break
+        if pair is None:
+            break
+        add_matching_edge(*pair)
+    ends.append(len(added))
+
+    # Stage 3: exposed pairs inside the one remaining deficient component,
+    # the smallest exposed vertex first.
+    for r in [r for r in sorted(exposed) if defic(r) > 0]:
+        while defic(r):
+            plus, minus = exposed[r]
+            if host.side is None:
+                add_matching_edge(plus[0], plus[1])
+            else:
+                add_matching_edge(plus[0], minus[0])
+    ends.append(len(added))
+
+    # Stage 4: connect the smallest component to every other one through
+    # the other's smallest vertex on the side vertex 0 may be joined to.
+    roots = sorted(exposed)
+    need = 0 if host.side is None else 1 - side[roots[0]]
+    for r in roots[1:]:
+        added.append((roots[0], lowest[r][need]))
+    ends.append(len(added))
+
+    matched = sorted((v, mate[v]) for v in range(n) if mate[v] is not None and v < mate[v])
+    stage_added = tuple(b - a for a, b in zip([0, *ends], ends))
+    return tuple(added), stage_added, matched

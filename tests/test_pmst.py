@@ -8,13 +8,19 @@ import random
 
 import pytest
 
-from helpers import graph_from_mask, pairs_of, reference_build_tree_containing_matching
+from helpers import (
+    graph_from_mask,
+    pairs_of,
+    reference_build_tree_containing_matching,
+    reference_greedy_augment,
+)
 from treematch import (
     DeficiencyProfile,
     DisconnectedError,
     HostKind,
     HostMismatchError,
     Infeasible,
+    InternalError,
     Matching,
     MINUS,
     OddDeficiencyError,
@@ -36,6 +42,7 @@ from treematch import (
     pmst_feasible,
     tree_perfect_matching,
 )
+from treematch import pmst
 from treematch.generate import complete, complete_bipartite
 from treematch.oracle import brute_force_min_pmst, brute_force_opt_aug
 
@@ -253,6 +260,13 @@ class TestGreedyAugmentComplete:
         with pytest.raises(HostMismatchError):
             greedy_augment(WeightedGraph(4), HostKind.complete(6))
 
+    def test_rejected_addition_is_an_internal_error(self, monkeypatch):
+        # A "maximum" matching that misses h's only edge makes stage 3 add
+        # that edge again; the fault must not read as a bad-input error.
+        monkeypatch.setattr(pmst, "maximum_matching", lambda g: Matching.from_edges(g, []))
+        with pytest.raises(InternalError, match="parallel edge"):
+            greedy_augment(WeightedGraph(2, [(0, 1, 1)]), HostKind.complete(2))
+
     def test_added_edges_are_new_and_count_matches_formula(self):
         rng = random.Random(77)
         for _ in range(200):
@@ -455,22 +469,101 @@ class TestGreedyAugmentPinned:
         ]
 
 
-class TestGreedyAugmentScale:
-    """20000 isolated vertices: about n/2 stage-2 joins and n/2 stage-4
-    connectors, far beyond what a per-step scan over components allows."""
+def star_forest(rng, kind):
+    """Disjoint stars of 0-5 leaves on 2..60 vertices, so that several
+    components have deficiency >= 2, on the host kinds of
+    ``augment_instance``; on a bipartite host the leaves sit on the side
+    opposite their centre."""
+    half = rng.randint(1, 30)
+    n = 2 * half
+    if kind == "complete":
+        host = HostKind.complete(n)
+    else:
+        order = list(range(n))
+        if kind == "permuted":
+            rng.shuffle(order)
+        host = HostKind.complete_bipartite(order[:half], order[half:])
+    side = host.side or (0,) * n
+    free = list(range(n))
+    rng.shuffle(free)
+    edges = []
+    while free:
+        centre = free.pop()
+        leaves = [v for v in free if kind == "complete" or side[v] != side[centre]]
+        for v in leaves[: rng.randrange(6)]:
+            free.remove(v)
+            edges.append((min(centre, v), max(centre, v), 1))
+    return WeightedGraph(n, edges), host
 
-    def check(self, host):
-        g = WeightedGraph(host.n)
+
+class TestGreedyAugmentReference:
+    """The greedy against the plain per-step scan in helpers, choice for
+    choice: added edges in order, per-stage counts and the matching."""
+
+    @staticmethod
+    def check(g, host):
         res = greedy_augment(g, host)
-        assert res.added_count == augmentation_optimum(deficiency_profile(g)) == host.n - 1
+        got = (res.added_edges, res.stage_added, res.graph.edge_pairs(res.matching.edges))
+        assert got == reference_greedy_augment(g, host)
+
+    @pytest.mark.parametrize("kind", ["complete", "bipartite", "permuted"])
+    def test_random_graphs(self, kind):
+        rng = random.Random(f"greedy-reference:{kind}")
+        for _ in range(600):
+            n = 2 * rng.randint(1, 30)
+            avg_degree = rng.choice([0, 0.25, 0.5, 1, 1.5, 2, 3])
+            self.check(*augment_instance(rng.randrange(10**9), n, avg_degree, kind))
+
+    @pytest.mark.parametrize("kind", ["complete", "bipartite", "permuted"])
+    def test_star_forests(self, kind):
+        rng = random.Random(f"greedy-reference-stars:{kind}")
+        for _ in range(200):
+            self.check(*star_forest(rng, kind))
+
+    def test_joined_root_below_r1(self):
+        # The deficiency-2 component 0 has minus exposure only, so r1 is the
+        # isolated plus vertex 1, r2 is 0, and the joined root is r2 < r1.
+        g = WeightedGraph(12, [(0, 6, 1), (0, 7, 1), (0, 8, 1)])
+        host = HostKind.complete_bipartite(range(6), range(6, 12))
+        self.check(g, host)
+        assert greedy_augment(g, host).added_edges[0] == (1, 7)
+
+
+class TestGreedyAugmentScale:
+    """20000 vertices, far beyond what a per-step scan over components
+    allows: edgeless hosts give about n/2 stage-2 joins and n/2 stage-4
+    connectors, and 5000 disjoint 3-leaf stars, each of deficiency 2,
+    give 4999 stage-1 joins."""
+
+    def check(self, g, host):
+        res = greedy_augment(g, host)
+        assert res.added_count == augmentation_optimum(deficiency_profile(g))
         assert is_connected(res.graph)
         assert res.matching.is_perfect
+        return res
 
     def test_edgeless_complete_host(self):
-        self.check(HostKind.complete(20000))
+        host = HostKind.complete(20000)
+        assert self.check(WeightedGraph(host.n), host).added_count == host.n - 1
 
     def test_edgeless_bipartite_host(self):
-        self.check(HostKind.complete_bipartite(range(10000), range(10000, 20000)))
+        host = HostKind.complete_bipartite(range(10000), range(10000, 20000))
+        assert self.check(WeightedGraph(host.n), host).added_count == host.n - 1
+
+    def test_stars_complete_host(self):
+        g = WeightedGraph(20000, [(c, c + i, 1) for c in range(0, 20000, 4) for i in (1, 2, 3)])
+        assert self.check(g, HostKind.complete(20000)).stage_added == (4999, 0, 1, 0)
+
+    def test_stars_bipartite_host(self):
+        # Sides 0..9999 and 10000..19999; stars alternate their centre
+        # between the sides, so each side holds 2500 centres and 7500 leaves.
+        edges = []
+        for i in range(2500):
+            plus, minus = 4 * i, 10000 + 4 * i
+            edges += [(plus, minus + j, 1) for j in (1, 2, 3)]
+            edges += [(plus + j, minus, 1) for j in (1, 2, 3)]
+        host = HostKind.complete_bipartite(range(10000), range(10000, 20000))
+        assert self.check(WeightedGraph(20000, edges), host).stage_added == (4999, 0, 1, 0)
 
 
 class TestMinPmstTwoValued:
