@@ -20,6 +20,7 @@ import os
 import stat
 import sys
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from . import generate
@@ -160,16 +161,19 @@ def _flat_list(xs: list | tuple, depth: int) -> str | None:
     """The indented text of a non-empty list of leaves or of non-empty int
     lists at ``depth``, or None for any other list.
 
-    Int rows are never formatted one by one: the per-row-length ``%d``
-    templates, picked in row order, are joined into one template, and one
-    ``%`` fills it with every entry of every row.  A bool, or any other
+    A list of str alone goes through ``encode_basestring_ascii``, which
+    is what ``json.JSONEncoder.encode`` calls for a str.  Int rows are
+    never formatted one by one: the per-row-length ``%d`` templates,
+    picked in row order, are joined into one template, and one ``%``
+    fills it with every entry of every row.  A bool, or any other
     type, among the entries sends the list to the general path.
     """
     inner = "\n" + "  " * (depth + 1)
     outer = "\n" + "  " * depth + "]"
     kinds = set(map(type, xs))
     if kinds <= _LEAVES:
-        return "[" + inner + ("," + inner).join(map(str if kinds == {int} else _leaf, xs)) + outer
+        fmt = str if kinds == {int} else encode_basestring_ascii if kinds == {str} else _leaf
+        return "[" + inner + ("," + inner).join(map(fmt, xs)) + outer
     if kinds <= {list, tuple} and all(xs):
         flat = tuple(chain.from_iterable(xs))
         if set(map(type, flat)) != {int}:
@@ -600,8 +604,9 @@ def build_parser() -> argparse.ArgumentParser:
     for which, note in (
         ("minpmst", "; this bounds a count, not work: K10 needs --cap 30240000 "
          "and answers in under a second"),
-        ("minsbst", "; graphs of maximum degree at most three use the pruned "
-         "search's node cap instead"),
+        ("minsbst", "; this bounds a count, not work: K10 needs --cap 30240000 "
+         "and answers in under a second; graphs of maximum degree at most three "
+         "use the pruned search's node cap instead"),
     ):
         p = osub.add_parser(which)
         p.add_argument("graph")

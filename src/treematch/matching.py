@@ -72,13 +72,22 @@ class DeficiencyProfile:
     The deficiency of a graph is the number of vertices left exposed by a
     maximum matching.  ``per_component`` follows the component order of
     :func:`treematch.graph.connected_components` (smallest vertex first).
+    The totals are taken once, when the profile is made, and kept outside
+    the dataclass fields, so equality, hash and repr look at
+    ``per_component`` alone.  Deficiencies are never negative, so every
+    component that is not matched is deficient.
     """
 
     per_component: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        per = self.per_component
+        matched = per.count(0)
+        object.__setattr__(self, "_totals", (sum(per), len(per) - matched, matched))
+
     @property
     def deficiency(self) -> int:
-        return sum(self.per_component)
+        return self._totals[0]
 
     @property
     def component_count(self) -> int:
@@ -87,12 +96,12 @@ class DeficiencyProfile:
     @property
     def deficient_count(self) -> int:
         """Number of components with positive deficiency."""
-        return sum(1 for d in self.per_component if d > 0)
+        return self._totals[1]
 
     @property
     def matched_count(self) -> int:
         """Number of components that have a perfect matching."""
-        return sum(1 for d in self.per_component if d == 0)
+        return self._totals[2]
 
     @property
     def half_deficiency(self) -> int:

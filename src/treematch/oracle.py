@@ -2,10 +2,10 @@
 
 Everything here is written for independence from the production solvers,
 not for speed: spanning trees are enumerated by include/exclude
-backtracking, augmentation optima by branch and bound over candidate edge
-sets with subset-DP matching numbers, and SAT by assignment scan.  Tests
-freeze values computed by these routines and compare the fast paths
-against them.
+backtracking, augmentation optima by iterative deepening over candidate
+edge sets with subset-DP matching numbers, and SAT by assignment scan.
+Tests freeze values computed by these routines and compare the fast
+paths against them.
 
 Both minimum-tree oracles go matching first: a tree contains at most one
 perfect matching M, so every candidate tree is reached exactly once,
@@ -19,7 +19,9 @@ filter on the trees it keeps.
 The search counts the trees through M by Kirchhoff's matrix-tree
 theorem, a cofactor of the Laplacian of g/M in exact integers by
 Bareiss elimination, after striking out the vertices on a single edge,
-and adds that to ``cap``'s count before it builds any of them.  It then
+and adds that to ``cap``'s count before it builds any of them.  It skips
+the count when comb(m, n - 1), the number of (n - 1)-edge subsets of g,
+is within ``cap``, since the count could then never pass it.  It then
 builds only the trees that can change the answer: an include/exclude
 search over the edges of g/M, on a union-find that rolls back, cuts a
 branch that cannot span or whose weight bound cannot beat the best tree.
@@ -27,10 +29,12 @@ Through one matching, trees of equal weight arrive in order of their
 keys, so once one of them has been compared the bound also cuts the
 later ones.
 
-The augmentation branch and bound builds a child's state only when it
-is popped and its parent's bound, less one, is still short of the best;
-the vertex subsets whose matching numbers adding a pair updates are
-listed once per call and pair.
+The augmentation optimum is found by iterative deepening on an
+admissible bound: a depth-first search under a budget of added edges,
+run for budgets from the bound at the root up, builds a node's state
+only when it is popped, and the first budget that reaches a feasible
+graph is the optimum.  The vertex subsets whose matching numbers adding
+a pair updates are listed once per call and pair.
 
 The one concession to scale is ``sb_tree_search``, a pruned backtracking
 search over edge in/out decisions, used for graphs of maximum degree at
@@ -39,9 +43,9 @@ not strongly balanced or, when minimizing, cannot weigh less than the
 best tree found, so its optima agree with enumeration.
 
 No routine here recurses.  The pruned search and the augmentation
-branch and bound are loops over an explicit stack, so their depth is not
-limited by Python's recursion limit, and the pruned search rolls back
-through one logged setter.
+search are loops over an explicit stack, so their depth is not limited
+by Python's recursion limit, and the pruned search rolls back through
+one logged setter.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from __future__ import annotations
 from bisect import insort
 from collections import deque
 from itertools import accumulate
-from math import inf
+from math import comb, inf
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -271,7 +275,10 @@ def _min_matched_tree(
     parallel or not) is one tree of g through the perfect matching M, and
     no tree contains two.  The trees through M are counted by
     ``_tree_count`` before any is built; once the running count passes
-    ``cap``, TruncatedError.
+    ``cap``, TruncatedError.  Every spanning tree of g is an (n - 1)-subset
+    of its m edges, so when comb(m, n - 1) is within ``cap`` the count
+    can never pass it and is not taken: TruncatedError comes on exactly
+    the same inputs either way.
 
     The trees through M are then searched, include first, over ``rest``
     in index order, on a union-find that rolls back, so they come in
@@ -292,6 +299,9 @@ def _min_matched_tree(
     k = n // 2
     block = [0] * n  # the contracted vertex each vertex belongs to
     count = best_w = 0
+    # A tree is n - 1 of the m edges, so at most comb(m, n - 1) trees can
+    # ever be counted; when that is within the cap, none is.
+    counted = comb(m, n - 1) > cap
     best: tuple[int, ...] | None = None
     bar = inf  # a tree is looked at only when its weight is below this
 
@@ -328,11 +338,12 @@ def _min_matched_tree(
         rest = [i for i in range(m) if i not in taken]
         ends_a = [block[edges[i][0]] for i in rest]
         ends_b = [block[edges[i][1]] for i in rest]
-        count += _tree_count(k, ends_a, ends_b)
-        if count > cap:
-            raise TruncatedError(
-                f"more than {cap} spanning trees contain a perfect matching"
-            )
+        if counted:
+            count += _tree_count(k, ends_a, ends_b)
+            if count > cap:
+                raise TruncatedError(
+                    f"more than {cap} spanning trees contain a perfect matching"
+                )
         rest_w = [edges[i][2] for i in rest]
         r = len(rest)
         # low[i][j]: the sum of the j lightest weights of rest[i:], j < k.
@@ -409,8 +420,8 @@ def brute_force_min_pmst(
     tuple, the first tree in ``enumerate_spanning_trees`` order.
 
     The trees through each perfect matching M are counted by Kirchhoff's
-    theorem and searched under a weight bound in ``_min_matched_tree``,
-    which here accepts every tree.
+    theorem, unless comb(m, n - 1) is within ``cap``, and searched under a
+    weight bound in ``_min_matched_tree``, which here accepts every tree.
 
     ``cap`` counts every tree that contains a perfect matching; once the
     running count passes it, TruncatedError, and a negative cap raises
@@ -774,12 +785,13 @@ def brute_force_min_sbst(
 
     A strongly balanced tree contains a perfect matching, so the candidates
     are the trees through each perfect matching, counted by Kirchhoff's
-    theorem and searched under a weight bound in ``_min_matched_tree``;
-    one that would become the new best is kept when one side of its
-    bipartition has no vertex of tree-degree three or more.  Ties go to
-    the smallest sorted edge-index tuple.  ``cap`` counts every tree that
-    contains a perfect matching, so K10 answers at ``cap=30_240_000`` and
-    raises TruncatedError one below, at once either way.  Odd order gives
+    theorem unless comb(m, n - 1) is within ``cap``, and searched under a
+    weight bound in ``_min_matched_tree``; one that would become the new
+    best is kept when one side of its bipartition has no vertex of
+    tree-degree three or more.  Ties go to the smallest sorted edge-index
+    tuple.  ``cap`` counts every tree that contains a perfect matching, so
+    K10 answers at ``cap=30_240_000`` and raises TruncatedError one below,
+    at once either way.  Odd order gives
     None before either route runs, and the absence of a perfect matching
     gives None at once.
 
@@ -811,21 +823,24 @@ def brute_force_sbst_exists(
 
 
 # ---------------------------------------------------------------------------
-# Augmentation oracle (branch and bound over candidate host edges)
+# Augmentation oracle (iterative deepening over candidate host edges)
 
 
 def brute_force_opt_aug(h: WeightedGraph, host: HostKind) -> int:
     """Minimum number of host edges whose addition makes h connected with
-    a perfect matching, by exhaustive branch and bound.
+    a perfect matching, by exhaustive iterative-deepening search.
 
     Admissible bound: at least components-1 edges are needed for
     connectivity and at least deficiency/2 for the matching, and one added
-    edge improves each count by at most one.  Each search node carries the
+    edge improves each count by at most one.  For each budget from the
+    bound of h up, a depth-first search over sets of candidate edges, in
+    ascending order, cuts a node whose edges added plus bound exceed the
+    budget, and the first node of bound 0 ends the call: no earlier budget
+    reached one, so its edge count is the optimum.  Each node carries the
     matching number of every vertex subset and the component labels of its
-    graph, built from its parent's when it is popped: not at all when the
-    edges added plus the parent's bound, less one, reach the best.  The
-    vertex subsets that adding a pair updates are listed when the pair is
-    first added and reused for the rest of the call.  Limited to 8
+    graph, built from its parent's when it is popped.  The vertex subsets
+    that adding a pair updates are listed when the pair is first added and
+    reused for the rest of the call, across budgets.  Limited to 8
     vertices.
     """
     n = h.vertex_count
@@ -875,32 +890,35 @@ def brute_force_opt_aug(h: WeightedGraph, host: HostKind) -> int:
         if not h.has_edge(u, v) and host.admits_edge(u, v)
     ]
     walks: list[list[tuple[int, int]] | None] = [None] * len(cands)  # made on first use
-    best = n * n  # loose upper bound, beaten immediately
-    # Depth first over (edges added, the parent's bound, dp and comp, the
-    # candidate that makes the child, -1 at the root); children go on in
-    # reverse, so candidates are tried in ascending order.  One edge lowers
-    # the bound by at most one, so a child is dropped unbuilt when
-    # added + its parent's bound - 1 reaches the best; only a child that
-    # passes gets its own dp and comp.
-    stack = [(0, 1, dp, comp, -1)]
-    while stack:
-        added, b, dp, comp, c = stack.pop()
-        if added + b - 1 >= best:
-            continue
-        if c >= 0:
-            u, v = cands[c]
-            if walks[c] is None:
-                walks[c] = walk(u, v)
-            dp, comp = add_edge(dp, comp, u, v, walks[c])
-        b = max(len(set(comp)) - 1, (n - 2 * dp[full]) // 2)
-        if added + b >= best:
-            continue
-        if b == 0:
-            best = added
-            continue
-        for i in range(len(cands) - 1, c, -1):
-            stack.append((added + 1, b, dp, comp, i))
-    return best
+    root = dp, comp
+    # Iterative deepening: for each budget from the root's bound up, depth
+    # first over (edges added, dp and comp, the candidate that makes the
+    # node, -1 at the root); children go on in reverse, so candidates are
+    # tried in ascending order, and a child's dp and comp are built when it
+    # is popped.  A node is cut once the edges added plus its bound exceed
+    # the budget.  One edge lowers the bound by at most one, so with the
+    # optimum as budget every node on the way to an optimal edge set
+    # passes, and the first budget that reaches bound 0 is the optimum.
+    # Adding every candidate gives the whole host, connected with a
+    # perfect matching, so some budget does.
+    budget = max(len(set(comp)) - 1, (n - 2 * dp[full]) // 2)
+    while True:
+        stack = [(0, *root, -1)]
+        while stack:
+            added, dp, comp, c = stack.pop()
+            if c >= 0:
+                u, v = cands[c]
+                if walks[c] is None:
+                    walks[c] = walk(u, v)
+                dp, comp = add_edge(dp, comp, u, v, walks[c])
+            b = max(len(set(comp)) - 1, (n - 2 * dp[full]) // 2)
+            if b == 0:
+                return added
+            if added + b > budget:
+                continue
+            for i in range(len(cands) - 1, c, -1):
+                stack.append((added + 1, dp, comp, i))
+        budget += 1
 
 
 # ---------------------------------------------------------------------------

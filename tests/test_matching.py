@@ -274,6 +274,13 @@ class TestDeficiencyProfile:
             g = graph_from_mask(n, rng.getrandbits(len(pairs_of(n))))
             assert deficiency_profile(g).deficiency == deficiency(g)
 
+    def test_totals_leave_equality_hash_and_repr_to_the_field(self):
+        read = deficiency_profile(WeightedGraph(5, [(0, 1, 1), (0, 2, 1), (0, 3, 1)]))
+        assert (read.deficiency, read.deficient_count, read.matched_count) == (3, 2, 0)
+        fresh = deficiency_profile(WeightedGraph(5, [(0, 1, 1), (0, 2, 1), (0, 3, 1)]))
+        assert read == fresh and hash(read) == hash(fresh)
+        assert repr(read) == repr(fresh) == "DeficiencyProfile(per_component=(2, 1))"
+
 
 class TestTreePerfectMatching:
     def tree(self, n, edge_pairs):

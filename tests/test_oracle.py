@@ -3,6 +3,7 @@
 import random
 import sys
 from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -15,6 +16,7 @@ from treematch import (
     WeightedGraph,
     as_bipartitioned_tree,
     augmentation_optimum,
+    bipartition_of,
     deficiency_profile,
     is_connected,
     is_strongly_balanced,
@@ -45,6 +47,7 @@ from helpers import (
     max_degree,
     max_matching_size_exhaustive,
     pairs_of,
+    prufer_tree,
     random_connected_bipartite,
     random_subcubic,
     random_tree_edges,
@@ -505,6 +508,69 @@ class TestBruteForceMinPmst:
         assert sys.getrecursionlimit() == limit
 
 
+class TestCapWithoutTheCount:
+    """The Kirchhoff count in ``_min_matched_tree`` runs only when
+    C(m, n - 1), the number of (n - 1)-edge subsets, is above the cap."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        calls = []
+        real = oracle._tree_count
+
+        def spy(k, ends_a, ends_b):
+            calls.append(k)
+            return real(k, ends_a, ends_b)
+
+        monkeypatch.setattr(oracle, "_tree_count", spy)
+        return calls
+
+    @pytest.mark.parametrize("solve", [brute_force_min_pmst, brute_force_min_sbst])
+    def test_count_runs_only_past_the_binomial(self, counts, solve):
+        # K6: m = 15 and C(15, 5) = 3,003; its 15 perfect matchings are
+        # each in 3 * 4 * 4 = 48 trees, 720 in all.
+        g = complete(6)
+        want = solve(g)
+        assert want is not None and counts == []
+        assert solve(g, cap=3003) == want and counts == []
+        assert solve(g, cap=3002) == want and counts == [3] * 15
+        with pytest.raises(TruncatedError, match="more than 719 spanning"):
+            solve(g, cap=719)
+
+    def test_long_cycle_is_not_counted(self, counts):
+        # C(1000, 999) = 1,000 is within the default cap.
+        assert brute_force_min_pmst(cycle(1000))[1] == 999
+        assert counts == []
+
+    def test_truncation_is_exact_for_every_cap(self):
+        # Every cap from 0 to C(m, n - 1) + 1 on seeded connected graphs
+        # of 2 to 6 vertices: TruncatedError exactly when more than ``cap``
+        # spanning trees contain a perfect matching, else the reference
+        # answer.  The SBST oracle is swept on the graphs it does not send
+        # to the pruned search.
+        rng = random.Random(2507)
+        counted = skipped = sbst = raised = 0
+        for trial in range(40):
+            n = (2, 4, 4, 6, 6)[trial % 5]
+            g = connected_random(rng, n, rng.randrange(0, 5 if n == 6 else n * (n - 1) // 2 - n + 2))
+            binomial = comb(g.edge_count, n - 1)
+            solvers = [(brute_force_min_pmst, reference_min_pmst(g))]
+            if max_degree(g) > 3:
+                solvers.append((brute_force_min_sbst, reference_min_sbst(g)))
+                sbst += 1
+            for solve, (want, total) in solvers:
+                for cap in range(binomial + 2):
+                    if total > cap:
+                        with pytest.raises(TruncatedError, match=f"more than {cap} spanning"):
+                            solve(g, cap=cap)
+                        raised += 1
+                    else:
+                        assert solve(g, cap=cap) == want, (trial, cap)
+                    counted += cap < binomial
+                    skipped += cap >= binomial
+        assert counted >= 1500 and skipped >= 90, (counted, skipped)
+        assert sbst >= 6 and raised >= 400, (sbst, raised)
+
+
 class TestSbTreeSearch:
     def test_weighted_cycle_four(self):
         g = WeightedGraph(4, [(0, 1, 1), (1, 2, 2), (2, 3, 3), (3, 0, 4)])
@@ -866,6 +932,61 @@ class TestBruteForceOptAug:
     def test_size_limit(self):
         with pytest.raises(TooLargeError):
             brute_force_opt_aug(WeightedGraph(10, []), HostKind.complete(10))
+
+    @staticmethod
+    def root_bound(h):
+        profile = deficiency_profile(h)
+        return max(profile.component_count - 1, profile.deficiency // 2)
+
+    @pytest.mark.parametrize(
+        "pairs, plus, want",
+        [
+            # A star of deficiency two and two matched edges: the root
+            # bound is max(3 - 1, 2 // 2) = 2, the optimum 2 // 2 + 2.
+            ([(0, 1), (0, 2), (0, 3), (4, 5), (6, 7)], None, 3),
+            # A six-vertex tree of deficiency two next to a matched edge:
+            # root bound 1, optimum 2, under either host.
+            ([(0, 5), (1, 2), (3, 4), (3, 5), (3, 6), (5, 7)], None, 2),
+            ([(0, 7), (1, 3), (2, 4), (2, 5), (2, 7), (6, 7)], (3, 4, 5, 7), 2),
+            ([(0, 2), (0, 5), (0, 6), (1, 5), (3, 5), (4, 7)], (2, 5, 6, 7), 2),
+        ],
+        ids=["star-and-two-edges", "tree-and-edge", "spider-and-edge", "bipartite-tree-and-edge"],
+    )
+    def test_optimum_above_the_root_bound(self, pairs, plus, want):
+        h = WeightedGraph(8, [(u, v, 1) for u, v in pairs])
+        if plus is None:
+            host = HostKind.complete(8)
+        else:
+            host = HostKind.complete_bipartite(plus, set(range(8)) - set(plus))
+        assert self.root_bound(h) < want
+        assert brute_force_opt_aug(h, host) == want
+        assert reference_opt_aug(h, host) == want
+        assert augmentation_optimum(deficiency_profile(h)) == want
+
+    def test_deepens_past_the_root_bound_on_seeded_trees(self):
+        # A random tree on six of eight vertices plus an edge on the other
+        # two, under the complete host and, when the tree's colour classes
+        # are equal, under the bipartite host they make.  A tree of even
+        # deficiency d >= 2 next to a matched edge needs d / 2 + 1 edges,
+        # one more than the root bound, so the search has to deepen.
+        rng = random.Random(2525)
+        deeper = {"complete": 0, "complete-bipartite": 0}
+        for _ in range(120):
+            order = rng.sample(range(8), 8)
+            tree = prufer_tree(tuple(rng.randrange(6) for _ in range(4)), 6)
+            pairs = {tuple(sorted((order[a], order[b]))) for a, b in tree + [(6, 7)]}
+            h = WeightedGraph(8, [(u, v, 1) for u, v in sorted(pairs)])
+            side = bipartition_of(h).side
+            hosts = [HostKind.complete(8)]
+            if side.count(0) == 4:
+                plus = [v for v in range(8) if side[v] == 0]
+                hosts.append(HostKind.complete_bipartite(plus, set(range(8)) - set(plus)))
+            for host in hosts:
+                got = brute_force_opt_aug(h, host)
+                assert got == reference_opt_aug(h, host), (sorted(pairs), host)
+                assert got == augmentation_optimum(deficiency_profile(h)), (sorted(pairs), host)
+                deeper[host.kind] += got > self.root_bound(h)
+        assert deeper["complete"] >= 40 and deeper["complete-bipartite"] >= 6, deeper
 
 
 class TestMaxMatchingSizeExhaustive:
