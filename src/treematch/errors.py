@@ -94,7 +94,8 @@ class NotStronglyBalancedError(TreematchError):
 
 
 class TruncatedError(TreematchError):
-    """An enumeration hit its cap before finishing; results would be partial."""
+    """An oracle hit its cap: more than ``cap`` spanning trees contain a
+    perfect matching, or the pruned search passed its node cap."""
 
 
 class TooLargeError(TreematchError):

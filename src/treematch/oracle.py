@@ -1,11 +1,12 @@
 """Brute-force reference implementations.
 
 Everything here is written for independence from the production solvers,
-not for speed: spanning trees are enumerated by include/exclude
-backtracking, augmentation optima by iterative deepening over candidate
-edge sets with subset-DP matching numbers, and SAT by assignment scan.
-Tests freeze values computed by these routines and compare the fast
-paths against them.
+not for speed: minimum trees with a perfect matching are searched through
+each perfect matching in turn, strongly balanced trees of subcubic graphs
+by pruned backtracking, augmentation optima by iterative deepening over
+candidate edge sets with subset-DP matching numbers, and SAT by
+assignment scan.  Tests freeze values computed by these routines and
+compare the fast paths against them.
 
 Both minimum-tree oracles go matching first: a tree contains at most one
 perfect matching M, so every candidate tree is reached exactly once,
@@ -36,11 +37,11 @@ only when it is popped, and the first budget that reaches a feasible
 graph is the optimum.  The vertex subsets whose matching numbers adding
 a pair updates are listed once per call and pair.
 
-The one concession to scale is ``sb_tree_search``, a pruned backtracking
-search over edge in/out decisions, used for graphs of maximum degree at
-most three.  Its pruning rules only ever discard spanning trees that are
-not strongly balanced or, when minimizing, cannot weigh less than the
-best tree found, so its optima agree with enumeration.
+Graphs of maximum degree at most three go to ``sb_tree_search``, a
+pruned backtracking search over edge in/out decisions.  Its pruning rules
+only ever discard spanning trees that are not strongly balanced or, when
+minimizing, cannot weigh less than the best tree found, so its optima are
+those of a scan over every spanning tree.
 
 No routine here recurses.  The pruned search and the augmentation
 search are loops over an explicit stack, so their depth is not limited
@@ -70,117 +71,12 @@ DEFAULT_NODE_CAP = 20_000_000
 
 
 # ---------------------------------------------------------------------------
-# Spanning-tree enumeration
+# Minimum-tree oracles
 
 
 def _check_cap(cap: int) -> None:
     if cap < 0:
         raise ValueError(f"tree cap must be non-negative, got {cap}")
-
-
-def _spanning_trees(
-    n: int, ends_u: Sequence[int], ends_v: Sequence[int]
-) -> Iterator[list[int]]:
-    """Every spanning tree of the connected multigraph on ``0 .. n - 1``
-    whose edge i joins ``ends_u[i]`` and ``ends_v[i]``, as the ascending
-    list of its edge indices.  The same list object is yielded each time
-    and changes on resumption; copy what must outlive the step.
-
-    Trees come in lexicographic order of their index lists.  Each descent
-    takes, in index order, every edge that joins two components, until
-    n - 2 edges leave two components; each later edge between those two
-    then completes one tree, found by comparing the two component labels
-    of its ends.  Backtracking drops the last chosen edge and resumes
-    after it only when the chosen edges plus the later ones still span, so
-    every descent ends in a tree.
-    """
-    if n == 1:
-        yield []
-        return
-    m = len(ends_u)
-    parent = list(range(n))
-    size = [1] * n
-    chosen: list[int] = []
-    absorbed: list[int] = []  # the root each chosen edge hung below another
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    i = 0
-    while True:
-        while len(chosen) < n - 2:
-            ru, rv = find(ends_u[i]), find(ends_v[i])
-            if ru != rv:
-                if size[ru] < size[rv]:
-                    ru, rv = rv, ru
-                parent[rv] = ru
-                size[ru] += size[rv]
-                chosen.append(i)
-                absorbed.append(rv)
-            i += 1
-        label = [find(x) for x in range(n)]
-        for k in range(i, m):
-            if label[ends_u[k]] != label[ends_v[k]]:
-                chosen.append(k)
-                yield chosen
-                chosen.pop()
-        while chosen:
-            j = chosen.pop()
-            rv = absorbed.pop()
-            size[parent[rv]] -= size[rv]
-            parent[rv] = rv
-            # Do the chosen edges plus edges[j + 1:] still span?
-            trial = parent[:]
-            comps = n - len(chosen)
-            for k in range(j + 1, m):
-                if comps == 1:
-                    break
-                a, b = ends_u[k], ends_v[k]
-                while trial[a] != a:
-                    trial[a] = a = trial[trial[a]]
-                while trial[b] != b:
-                    trial[b] = b = trial[trial[b]]
-                if a != b:
-                    trial[a] = b
-                    comps -= 1
-            if comps == 1:
-                i = j + 1
-                break
-        else:
-            return
-
-
-def enumerate_spanning_trees(
-    g: WeightedGraph,
-    visit: Callable[[tuple[int, ...]], None] | None = None,
-    cap: int = DEFAULT_TREE_CAP,
-) -> int:
-    """Visit every spanning tree of g (as a sorted tuple of edge indices)
-    and return their number.
-
-    Trees are produced in lexicographic order of their index tuples.
-    Raises TruncatedError past ``cap`` trees, ValueError for a negative
-    ``cap`` and DisconnectedError when no spanning tree exists.
-    """
-    _check_cap(cap)
-    if not is_connected(g):
-        raise DisconnectedError("graph has no spanning tree")
-    count = 0
-    for tree in _spanning_trees(
-        g.vertex_count, [e[0] for e in g.edges], [e[1] for e in g.edges]
-    ):
-        count += 1
-        if count > cap:
-            raise TruncatedError(f"more than {cap} spanning trees")
-        if visit is not None:
-            visit(tuple(tree))
-    return count
-
-
-# ---------------------------------------------------------------------------
-# PMST oracle
 
 
 def _perfect_matchings(g: WeightedGraph) -> Iterator[list[int]]:
@@ -417,7 +313,7 @@ def brute_force_min_pmst(
 ) -> tuple[EdgeSet, int] | None:
     """Minimum-weight spanning tree containing a perfect matching, or
     None when no tree has one.  Ties go to the smallest sorted edge-index
-    tuple, the first tree in ``enumerate_spanning_trees`` order.
+    tuple.
 
     The trees through each perfect matching M are counted by Kirchhoff's
     theorem, unless comb(m, n - 1) is within ``cap``, and searched under a

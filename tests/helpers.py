@@ -1,10 +1,10 @@
 """Shared test utilities: mask-indexed small graphs, Prüfer decoding,
 seeded random instance builders, the reference minimum-PMST, minimum-SBST,
 matroid-intersection, blossom and component searches, graph parser, tree
-completion, spanning-tree enumerator, augmentation branch and bound and
-greedy augmentation used across the suite, and two referees that only the
-tests need: a Kirchhoff spanning-tree count and a subset-DP maximum
-matching size."""
+completion, augmentation branch and bound and greedy augmentation used
+across the suite, and three referees that only the tests need: a
+spanning-tree enumerator, a Kirchhoff spanning-tree count and a subset-DP
+maximum matching size."""
 
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from treematch.errors import (
 )
 from treematch.graph import BadEdgeError, _tokenized_lines
 from treematch.matching import Matching, maximum_matching
-from treematch.oracle import enumerate_spanning_trees
 
 
 def pairs_of(n: int) -> list[tuple[int, int]]:
@@ -283,6 +282,90 @@ def tree_has_perfect_matching(g: WeightedGraph, tree) -> bool:
     return True
 
 
+def multigraph_spanning_trees(n: int, ends_u, ends_v):
+    """Every spanning tree of the multigraph on ``0 .. n - 1`` whose edge i
+    joins ``ends_u[i]`` and ``ends_v[i]``, as the ascending list of its
+    edge indices, in lexicographic order; nothing when it is disconnected.
+    The same list object is yielded each time and changes on resumption;
+    copy what must outlive the step.
+
+    Each descent takes, in index order, every edge that joins two
+    components, until n - 2 edges leave two components; each later edge
+    between those two then completes one tree, found by comparing the two
+    component labels of its ends.  Backtracking drops the last chosen edge
+    and resumes after it only when the chosen edges plus the later ones
+    still span, so every descent ends in a tree."""
+    m = len(ends_u)
+    parent = list(range(n))
+    size = [1] * n
+    chosen: list[int] = []
+    absorbed: list[int] = []  # the root each chosen edge hung below another
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def spans(j):
+        # Do the chosen edges plus edges j, j + 1, ... span?
+        trial = parent[:]
+        comps = n - len(chosen)
+        for k in range(j, m):
+            if comps == 1:
+                break
+            a, b = ends_u[k], ends_v[k]
+            while trial[a] != a:
+                trial[a] = a = trial[trial[a]]
+            while trial[b] != b:
+                trial[b] = b = trial[trial[b]]
+            if a != b:
+                trial[a] = b
+                comps -= 1
+        return comps == 1
+
+    if not spans(0):
+        return
+    if n == 1:
+        yield chosen
+        return
+    i = 0
+    while True:
+        while len(chosen) < n - 2:
+            ru, rv = find(ends_u[i]), find(ends_v[i])
+            if ru != rv:
+                if size[ru] < size[rv]:
+                    ru, rv = rv, ru
+                parent[rv] = ru
+                size[ru] += size[rv]
+                chosen.append(i)
+                absorbed.append(rv)
+            i += 1
+        label = [find(x) for x in range(n)]
+        for k in range(i, m):
+            if label[ends_u[k]] != label[ends_v[k]]:
+                chosen.append(k)
+                yield chosen
+                chosen.pop()
+        while chosen:
+            j = chosen.pop()
+            rv = absorbed.pop()
+            size[parent[rv]] -= size[rv]
+            parent[rv] = rv
+            if spans(j + 1):
+                i = j + 1
+                break
+        else:
+            return
+
+
+def spanning_trees(g: WeightedGraph):
+    """Every spanning tree of g, as the sorted tuple of its edge indices,
+    in lexicographic order; nothing when g is disconnected."""
+    ends_u = [u for u, _, _ in g.edges]
+    ends_v = [v for _, v, _ in g.edges]
+    return (tuple(t) for t in multigraph_spanning_trees(g.vertex_count, ends_u, ends_v))
+
+
 def reference_min_pmst(g: WeightedGraph, accept=None):
     """``brute_force_min_pmst`` as full enumeration filtered by a tree
     matching test: the minimum over (weight, sorted edge-index tuple) of
@@ -292,16 +375,12 @@ def reference_min_pmst(g: WeightedGraph, accept=None):
     is none."""
     best = None
     count = 0
-
-    def look(tree):
-        nonlocal best, count
+    for tree in spanning_trees(g):
         if tree_has_perfect_matching(g, tree):
             count += 1
             key = (sum(g.edges[i][2] for i in tree), tree)
             if (best is None or key < best) and (accept is None or accept(tree)):
                 best = key
-
-    enumerate_spanning_trees(g, look)
     return (None if best is None else (frozenset(best[1]), best[0])), count
 
 
@@ -591,62 +670,6 @@ def reference_build_tree_containing_matching(
     if len(tree) != n - 1:
         raise DisconnectedError("graph is not connected")
     return frozenset(tree)
-
-
-def reference_spanning_trees(n: int, ends_u, ends_v):
-    """``oracle._spanning_trees`` as it was before it scanned the last
-    level directly: every descent runs to n - 1 edges, and every
-    backtracking step, the last level's too, re-checks that the chosen
-    edges plus the later ones span.  Kept as the reference the enumerator
-    must agree with, tree for tree and in order.  Yields one shared list,
-    like the enumerator."""
-    m = len(ends_u)
-    parent = list(range(n))
-    size = [1] * n
-    chosen: list[int] = []
-    absorbed: list[int] = []
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    i = 0
-    while True:
-        while len(chosen) < n - 1:
-            ru, rv = find(ends_u[i]), find(ends_v[i])
-            if ru != rv:
-                if size[ru] < size[rv]:
-                    ru, rv = rv, ru
-                parent[rv] = ru
-                size[ru] += size[rv]
-                chosen.append(i)
-                absorbed.append(rv)
-            i += 1
-        yield chosen
-        while chosen:
-            j = chosen.pop()
-            rv = absorbed.pop()
-            size[parent[rv]] -= size[rv]
-            parent[rv] = rv
-            trial = parent[:]
-            comps = n - len(chosen)
-            for k in range(j + 1, m):
-                if comps == 1:
-                    break
-                a, b = ends_u[k], ends_v[k]
-                while trial[a] != a:
-                    trial[a] = a = trial[trial[a]]
-                while trial[b] != b:
-                    trial[b] = b = trial[trial[b]]
-                if a != b:
-                    trial[a] = b
-                    comps -= 1
-            if comps == 1:
-                i = j + 1
-                break
-        else:
-            return
 
 
 def reference_opt_aug(h: WeightedGraph, host) -> int:

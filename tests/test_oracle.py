@@ -38,7 +38,6 @@ from treematch.oracle import (
     brute_force_opt_aug,
     brute_force_sat,
     brute_force_sbst_exists,
-    enumerate_spanning_trees,
     sb_tree_search,
 )
 
@@ -46,6 +45,7 @@ from helpers import (
     graph_from_mask,
     max_degree,
     max_matching_size_exhaustive,
+    multigraph_spanning_trees,
     pairs_of,
     prufer_tree,
     random_connected_bipartite,
@@ -54,8 +54,8 @@ from helpers import (
     reference_min_pmst,
     reference_min_sbst,
     reference_opt_aug,
-    reference_spanning_trees,
     spanning_tree_count_determinant,
+    spanning_trees,
     strongly_balanced,
 )
 
@@ -163,68 +163,52 @@ PINNED_SB_SEARCH = [
 class TestEnumerateSpanningTrees:
     def test_tree_input_gives_one_tree(self):
         g = WeightedGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
-        seen = []
-        assert enumerate_spanning_trees(g, seen.append) == 1
-        assert seen == [(0, 1, 2)]
+        assert list(spanning_trees(g)) == [(0, 1, 2)]
 
     def test_single_vertex(self):
-        seen = []
-        assert enumerate_spanning_trees(WeightedGraph(1, []), seen.append) == 1
-        assert seen == [()]
-
-    def test_single_vertex_counts_against_cap(self):
-        seen = []
-        with pytest.raises(TruncatedError):
-            enumerate_spanning_trees(WeightedGraph(1, []), seen.append, cap=0)
-        assert seen == []
-        assert enumerate_spanning_trees(WeightedGraph(1, []), cap=1) == 1
+        assert list(spanning_trees(WeightedGraph(1, []))) == [()]
 
     def test_cycle_four(self):
-        assert enumerate_spanning_trees(cycle(4)) == 4
+        assert sum(1 for _ in spanning_trees(cycle(4))) == 4
 
     def test_triangle_in_lexicographic_order(self):
-        seen = []
-        enumerate_spanning_trees(cycle(3), seen.append)
-        assert seen == [(0, 1), (0, 2), (1, 2)]
+        assert list(spanning_trees(cycle(3))) == [(0, 1), (0, 2), (1, 2)]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_cayley_count_on_complete_graphs(self, n):
-        assert enumerate_spanning_trees(complete(n)) == n ** (n - 2)
+        assert sum(1 for _ in spanning_trees(complete(n))) == n ** (n - 2)
 
     def test_petersen_count(self):
-        assert enumerate_spanning_trees(petersen()) == 2000
+        assert sum(1 for _ in spanning_trees(petersen())) == 2000
 
     def test_every_visit_is_a_spanning_tree(self):
         rng = random.Random(501)
         g = connected_random(rng, 6, 4)
-        trees = []
-        enumerate_spanning_trees(g, trees.append)
+        trees = list(spanning_trees(g))
         assert len(trees) == len(set(trees))
         for t in trees:
             assert len(t) == g.vertex_count - 1
             as_bipartitioned_tree(g, frozenset(t))  # raises if not a tree
 
-    def test_cap_is_enforced(self):
-        with pytest.raises(TruncatedError):
-            enumerate_spanning_trees(complete(5), cap=10)
-
-    def test_disconnected_rejected(self):
-        with pytest.raises(DisconnectedError):
-            enumerate_spanning_trees(WeightedGraph(4, [(0, 1, 1), (2, 3, 1)]))
+    def test_disconnected_yields_nothing(self):
+        assert list(spanning_trees(WeightedGraph(4, [(0, 1, 1), (2, 3, 1)]))) == []
+        assert list(spanning_trees(WeightedGraph(2, []))) == []
+        assert list(multigraph_spanning_trees(3, [0, 1], [1, 0])) == []
 
     def test_count_matches_determinant_on_random_graphs(self):
         rng = random.Random(502)
         for _ in range(20):
             n = rng.randrange(3, 11)
             g = connected_random(rng, n, rng.randrange(0, n))
-            assert enumerate_spanning_trees(g) == spanning_tree_count_determinant(g)
+            assert sum(1 for _ in spanning_trees(g)) == spanning_tree_count_determinant(g)
 
-    def test_order_matches_filtered_combinations(self):
+    @staticmethod
+    def _filtered(n, ends_u, ends_v):
         # Every (n-1)-subset of edge indices, in lexicographic order, kept
         # when it closes no cycle: an independent reference for both the
         # trees and their order.
-        def acyclic(g, subset):
-            root = list(range(g.vertex_count))
+        def acyclic(subset):
+            root = list(range(n))
 
             def find(x):
                 while root[x] != x:
@@ -232,30 +216,26 @@ class TestEnumerateSpanningTrees:
                 return x
 
             for i in subset:
-                ru, rv = find(g.edges[i][0]), find(g.edges[i][1])
+                ru, rv = find(ends_u[i]), find(ends_v[i])
                 if ru == rv:
                     return False
                 root[ru] = rv
             return True
 
+        return [t for t in combinations(range(len(ends_u)), n - 1) if acyclic(t)]
+
+    def test_order_matches_filtered_combinations(self):
         rng = random.Random(507)
         for _ in range(200):
             n = rng.randrange(1, 8)
             g = connected_random(rng, n, rng.randrange(0, n * (n - 1) // 2 - n + 2))
-            want = [
-                t
-                for t in combinations(range(g.edge_count), n - 1)
-                if acyclic(g, t)
-            ]
-            seen = []
-            assert enumerate_spanning_trees(g, seen.append) == len(want)
-            assert seen == want
+            want = self._filtered(n, [u for u, _, _ in g.edges], [v for _, v, _ in g.edges])
+            assert list(spanning_trees(g)) == want
 
     def test_matches_reference_on_multigraphs(self):
         # The graphs the minimum-tree oracles contract are multigraphs:
         # a random tree plus random extra edges, repeats allowed, in
-        # shuffled order, against the enumerator that checks spanning at
-        # every level.
+        # shuffled order, against the filtered (n-1)-subset list.
         rng = random.Random(508)
         parallel = 0
         for n in range(1, 8):
@@ -267,9 +247,8 @@ class TestEnumerateSpanningTrees:
                 rng.shuffle(pairs)
                 ends_u = [u for u, _ in pairs]
                 ends_v = [v for _, v in pairs]
-                want = [list(t) for t in reference_spanning_trees(n, ends_u, ends_v)]
-                got = [list(t) for t in oracle._spanning_trees(n, ends_u, ends_v)]
-                assert got == want, (n, pairs)
+                got = [tuple(t) for t in multigraph_spanning_trees(n, ends_u, ends_v)]
+                assert got == self._filtered(n, ends_u, ends_v), (n, pairs)
                 parallel += len({frozenset(p) for p in pairs}) < len(pairs)
         assert parallel >= 100
 
@@ -278,7 +257,7 @@ class TestEnumerateSpanningTrees:
         n = 1502
         edges = [(0, 1), (0, 2), (1, 2)] + [(v, v + 1) for v in range(2, n - 1)]
         limit = sys.getrecursionlimit()
-        assert enumerate_spanning_trees(WeightedGraph(n, edges)) == 3
+        assert sum(1 for _ in spanning_trees(WeightedGraph(n, edges))) == 3
         assert sys.getrecursionlimit() == limit
 
 
@@ -316,7 +295,7 @@ class TestMatchedTreeCount:
                 rest = [i for i in range(g.edge_count) if i not in matching]
                 ends_a = [block[g.edges[i][0]] for i in rest]
                 ends_b = [block[g.edges[i][1]] for i in rest]
-                listed = sum(1 for _ in oracle._spanning_trees(n // 2, ends_a, ends_b))
+                listed = sum(1 for _ in multigraph_spanning_trees(n // 2, ends_a, ends_b))
                 assert oracle._tree_count(n // 2, ends_a, ends_b) == listed, (trial, matching)
                 matchings += 1
                 bundles = {frozenset(p) for p in zip(ends_a, ends_b)}
@@ -351,7 +330,7 @@ class TestMatchedTreeCount:
         # the middle; a vertex held by two parallel edges must stay.
         ends_a = [a for a, _ in pairs]
         ends_b = [b for _, b in pairs]
-        listed = sum(1 for _ in oracle._spanning_trees(k, ends_a, ends_b))
+        listed = sum(1 for _ in multigraph_spanning_trees(k, ends_a, ends_b))
         assert oracle._tree_count(k, ends_a, ends_b) == listed
 
 
@@ -486,7 +465,7 @@ class TestBruteForceMinPmst:
     )
     def test_cap_counts_trees_with_a_perfect_matching(self, g):
         _, n_trees = reference_min_pmst(g)
-        assert 0 < n_trees < enumerate_spanning_trees(g)
+        assert 0 < n_trees < sum(1 for _ in spanning_trees(g))
         assert brute_force_min_pmst(g, cap=n_trees) is not None
         with pytest.raises(TruncatedError):
             brute_force_min_pmst(g, cap=n_trees - 1)
@@ -496,7 +475,7 @@ class TestBruteForceMinPmst:
         assert brute_force_min_pmst(g, cap=0) is None
 
     def test_negative_cap_rejected(self):
-        for call in (brute_force_min_pmst, brute_force_min_sbst, enumerate_spanning_trees):
+        for call in (brute_force_min_pmst, brute_force_min_sbst):
             with pytest.raises(ValueError, match="-1"):
                 call(complete(4), cap=-1)
 
@@ -592,21 +571,13 @@ class TestSbTreeSearch:
             else:
                 g = connected_random(rng, n, rng.randrange(0, n))
             best = None
-            if len(g.edges) >= n - 1:
-
-                def look(t):
-                    nonlocal best
-                    tree = as_bipartitioned_tree(g, frozenset(t))
-                    if is_strongly_balanced(tree) is None:
-                        return
-                    w = g.total_weight(frozenset(t))
-                    if best is None or w < best:
-                        best = w
-
-                try:
-                    enumerate_spanning_trees(g, look)
-                except DisconnectedError:
+            for t in spanning_trees(g):
+                tree = as_bipartitioned_tree(g, frozenset(t))
+                if is_strongly_balanced(tree) is None:
                     continue
+                w = g.total_weight(frozenset(t))
+                if best is None or w < best:
+                    best = w
             got = sb_tree_search(g, find_min=True)
             if best is None:
                 assert got is None
@@ -673,13 +644,9 @@ class TestSbTreeSearch:
             if not is_connected(shape):
                 continue
             g = WeightedGraph(n, [(u, v, rng.randint(-3, 3)) for u, v, _ in shape.edges])
-            weights = []
-
-            def look(t):
-                if strongly_balanced(g, t):
-                    weights.append(g.total_weight(frozenset(t)))
-
-            enumerate_spanning_trees(g, look)
+            weights = [
+                g.total_weight(frozenset(t)) for t in spanning_trees(g) if strongly_balanced(g, t)
+            ]
             got = sb_tree_search(g, find_min=True)
             assert (got and got[1]) == (min(weights) if weights else None)
             feasible += bool(weights)
@@ -745,7 +712,7 @@ class TestBruteForceMinSbst:
     def test_cap_counts_trees_with_a_perfect_matching(self):
         g = complete(6)
         _, n_trees = reference_min_pmst(g)
-        assert 0 < n_trees < enumerate_spanning_trees(g)
+        assert 0 < n_trees < sum(1 for _ in spanning_trees(g))
         assert brute_force_min_sbst(g, cap=n_trees) is not None
         with pytest.raises(TruncatedError, match=f"more than {n_trees - 1} "):
             brute_force_min_sbst(g, cap=n_trees - 1)
