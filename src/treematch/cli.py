@@ -262,7 +262,7 @@ def _cmd_minpmst2(args: argparse.Namespace) -> int:
     g = _load(args.graph)
     host = _host_from_args(g, args)
     try:
-        res = min_pmst_two_valued(host, g.edges, args.light, args.heavy)
+        res = min_pmst_two_valued(host, g, args.light, args.heavy)
     except (OddVertexCountError, OddDeficiencyError) as exc:
         return _emit("infeasible", reason=str(exc))
     return _emit(

@@ -12,10 +12,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     GraphFormatError,
+    InternalError,
     NotATreeError,
     NotBipartiteError,
 )
@@ -47,9 +49,10 @@ class WeightedGraph:
     Edges are normalized to ``(u, v, weight)`` with ``u < v`` and kept in
     construction order.  The constructor's check loop, ``_fill``, is the
     one place where an edge list is checked; ``with_added_edges`` runs it
-    over the appended entries only.  An entry that is not ``(u, v)`` or
-    ``(u, v, w)`` over integers, a self-loop, a vertex outside
-    ``0 .. vertex_count - 1`` and a parallel edge each raise
+    over the appended entries only, and ``with_weight`` reweights a
+    checked graph's edges without checking them again.  An entry that is
+    not ``(u, v)`` or ``(u, v, w)`` over integers, a self-loop, a vertex
+    outside ``0 .. vertex_count - 1`` and a parallel edge each raise
     ``BadEdgeError`` (a ``ValueError``) naming the entry's position.  The
     ``(u, v) -> index`` map built while rejecting parallel edges serves
     ``edge_index`` and ``has_edge``.
@@ -134,9 +137,14 @@ class WeightedGraph:
         return sum(self.edges[i][2] for i in edge_set)
 
     def edge_pairs(self, edge_set: Iterable[int]) -> list[tuple[int, int]]:
-        """Endpoint pairs of an edge subset, sorted for stable output."""
+        """Endpoint pairs of an edge subset, sorted for stable output.  As
+        u < v < n, the key u * n + v orders pairs as tuples do, and
+        ``divmod(key, n)`` gives the pair back."""
         edges = self.edges
-        return sorted([edges[i][:2] for i in edge_set])
+        n = self.vertex_count
+        keys = [edges[i][0] * n + edges[i][1] for i in edge_set]
+        keys.sort()
+        return list(map(divmod, keys, repeat(n)))
 
     def with_added_edges(self, new_edges: Iterable[Sequence[int]]) -> "WeightedGraph":
         """A new graph with extra edges appended after the existing ones.
@@ -144,6 +152,21 @@ class WeightedGraph:
         a rejected one's ``position`` counts the existing edges too."""
         g = object.__new__(WeightedGraph)
         g._fill(self.vertex_count, list(self.edges), dict(self._index), new_edges)
+        return g
+
+    def with_weight(self, weight: int) -> "WeightedGraph":
+        """The same edges in the same order, each weighing ``weight``.
+
+        Only the weight is checked: the endpoints were checked when this
+        graph was made, so the new graph shares its ``(u, v) -> index``
+        map, which no method mutates (``with_added_edges`` copies it).
+        """
+        if not isinstance(weight, int):
+            raise ValueError(f"edge weight must be an integer, got {weight!r}")
+        g = object.__new__(WeightedGraph)
+        object.__setattr__(g, "vertex_count", self.vertex_count)
+        object.__setattr__(g, "edges", tuple([(u, v, weight) for u, v, _ in self.edges]))
+        object.__setattr__(g, "_index", self._index)
         return g
 
 
@@ -365,13 +388,14 @@ def parse_graph(text: str) -> WeightedGraph:
     Each line is split once, in this loop: a line with no fields, or
     whose first field starts with ``c``, is skipped, which is the rule of
     ``_tokenized_lines``.  The common case, an ``e`` line after the ``p``
-    line, is tested first and converted field by field, so a line costs
-    one ``split`` and one tuple.
+    line, is tested first and converted field by field, so it costs one
+    ``split`` and the edge's tuple, and nothing records its line number.
+    A rejected edge's line is found afterwards by counting ``e`` lines
+    up to the edge's position (``_edge_line``).
     """
     n = -1
     m = -1
     edges: list[tuple[int, ...]] = []
-    edge_lines: list[int] = []
     for lineno, line in enumerate(text.splitlines(), 1):
         parts = line.split()
         if not parts:
@@ -388,7 +412,6 @@ def parse_graph(text: str) -> WeightedGraph:
                     edges.append((int(parts[1]), int(parts[2])))
             except ValueError:
                 raise GraphFormatError("e line must hold integers", lineno) from None
-            edge_lines.append(lineno)
         elif head[0] == "c":
             continue
         elif head == "p":
@@ -411,10 +434,25 @@ def parse_graph(text: str) -> WeightedGraph:
     try:
         g = WeightedGraph(n, edges)
     except BadEdgeError as exc:
-        raise GraphFormatError(str(exc), edge_lines[exc.position]) from None
+        raise GraphFormatError(str(exc), _edge_line(text, exc.position)) from None
     if g.edge_count != m:
         raise GraphFormatError(f"p line announced {m} edges, file holds {g.edge_count}")
     return g
+
+
+def _edge_line(text: str, position: int) -> int:
+    """Line number of the ``e`` line that gave edge ``position`` (0-based)
+    of a text that ``parse_graph`` read without a malformed line.  Such a
+    text has no ``e`` line before its ``p`` line, so every ``e`` line
+    gave an edge, in file order."""
+    seen = -1
+    for lineno, line in enumerate(text.splitlines(), 1):
+        parts = line.split(None, 1)
+        if parts and parts[0] == "e":
+            seen += 1
+            if seen == position:
+                return lineno
+    raise InternalError(f"no e line gave edge {position}")
 
 
 def format_graph(g: WeightedGraph, comment: str | None = None) -> str:

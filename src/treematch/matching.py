@@ -19,7 +19,6 @@ O(search tree).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -171,14 +170,20 @@ def _mates_by_blossom(n: int, adj: list[list[int]]) -> list[int]:
         touched.clear()
         touched.append(root)
         used[root] = True
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
+        # The BFS queue is a list read from ``head``; v's base is read once
+        # and again only after a contraction, the one step that moves it.
+        queue = [root]
+        head = 0
+        while head < len(queue):
+            v = queue[head]
+            head += 1
             mv = mate[v]
+            bv = base[v]
             for to in adj[v]:
-                if base[v] == base[to] or mv == to:
+                if bv == base[to] or mv == to:
                     continue
-                if to == root or (mate[to] != -1 and p[mate[to]] != -1):
+                mt = mate[to]
+                if to == root or (mt != -1 and p[mt] != -1):
                     # Odd cycle: shrink the blossom onto its base.  Only
                     # the members of the marked bases move, and newly
                     # outer vertices join the queue in ascending id.
@@ -200,11 +205,12 @@ def _mates_by_blossom(n: int, adj: list[list[int]]) -> list[int]:
                                 grown.append(i)
                         into += moved
                     grown.sort()
-                    queue.extend(grown)
+                    queue += grown
+                    bv = base[v]
                 elif p[to] == -1:
                     p[to] = v
                     touched.append(to)
-                    if mate[to] == -1:
+                    if mt == -1:
                         # Augmenting path: flip matched edges back to the root.
                         u = to
                         while u != -1:
@@ -214,9 +220,9 @@ def _mates_by_blossom(n: int, adj: list[list[int]]) -> list[int]:
                             mate[pv] = u
                             u = ppv
                         return
-                    touched.append(mate[to])
-                    used[mate[to]] = True
-                    queue.append(mate[to])
+                    touched.append(mt)
+                    used[mt] = True
+                    queue.append(mt)
 
     for v in range(n):
         # A search from a vertex without neighbours would touch nothing.

@@ -26,7 +26,7 @@ from bisect import insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import neg
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import (
     DisconnectedError,
@@ -449,17 +449,19 @@ class MinPmstResult:
 
 def min_pmst_two_valued(
     host: HostKind,
-    light_edges: Iterable[Sequence[int]],
+    light: WeightedGraph,
     light_weight: int,
     heavy_weight: int,
 ) -> MinPmstResult:
     """Minimum-weight spanning tree containing a perfect matching, over a
-    host whose edges weigh ``light_weight`` on ``light_edges`` and
-    ``heavy_weight`` elsewhere.  Only the first two entries of each light
-    edge are read, so a graph's ``(u, v, w)`` edges can be passed as they
-    are.  A malformed light edge or a self-loop raises ``BadEdgeError``
-    (a ``ValueError``); one that does not cross a bipartite host's sides
-    raises ``HostMismatchError`` from ``greedy_augment``'s host check.
+    host whose edges weigh ``light_weight`` on the edges of ``light`` and
+    ``heavy_weight`` elsewhere.  The weights of ``light`` are ignored, and
+    ``light`` itself is left unchanged: g0, the light graph reweighted to
+    ``light_weight`` by ``WeightedGraph.with_weight``, keeps its edge order
+    and checks no edge again.  A light graph whose vertex count differs
+    from the host's, or an edge that does not cross a bipartite host's
+    sides, raises ``HostMismatchError`` from ``greedy_augment``'s host
+    check.
 
     Every tree with a matching needs n - 1 edges, so only the number of
     heavy edges matters; that number is exactly the augmentation optimum
@@ -472,7 +474,7 @@ def min_pmst_two_valued(
     n = host.n
     if n % 2:
         raise OddVertexCountError(f"{n} vertices cannot be perfectly matched")
-    g0 = WeightedGraph(n, [(item[0], item[1], light_weight) for item in light_edges])
+    g0 = light.with_weight(light_weight)
     aug = greedy_augment(g0, host)  # checks g0 against the host
 
     # Same edges in the same order as aug.graph, so its matching's edge

@@ -264,7 +264,7 @@ def test_05_min_pmst_two_valued():
             light_pairs = [host_pairs[i] for i in sorted(chosen)]
             a = rng.randint(0, 3)
             b = a + rng.randint(1, 5)
-            res = min_pmst_two_valued(host, light_pairs, a, b)
+            res = min_pmst_two_valued(host, WeightedGraph(n, light_pairs), a, b)
 
             support = WeightedGraph(
                 n,

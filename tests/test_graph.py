@@ -102,6 +102,32 @@ class TestConstruction:
         assert str(added.value) == str(whole.value)
         assert added.value.position == whole.value.position >= len(old)
 
+    def test_edge_pairs_sort_as_endpoint_tuples(self):
+        rng = random.Random(29)
+        for trial in range(300):
+            n = 2 if trial < 20 else rng.randint(2, 40)
+            pairs = pairs_of(n)
+            g = WeightedGraph(n, rng.sample(pairs, rng.randint(0, min(len(pairs), 60))))
+            m = g.edge_count
+            for subset in ([], list(range(m)), rng.sample(range(m), rng.randint(0, m))):
+                want = sorted(g.edges[i][:2] for i in subset)
+                assert g.edge_pairs(subset) == want, (n, g.edges, subset)
+                assert g.edge_pairs(frozenset(subset)) == want
+
+    def test_with_weight_reweights_without_touching_the_original(self):
+        g = WeightedGraph(4, [(3, 1, 5), (0, 2, -1), (1, 0)])
+        h = g.with_weight(7)
+        assert h.edges == ((1, 3, 7), (0, 2, 7), (0, 1, 7))
+        assert h == WeightedGraph(4, [(1, 3, 7), (0, 2, 7), (0, 1, 7)])
+        assert [h.edge_index(v, u) for u, v, _ in h.edges] == [0, 1, 2]
+        # Edges added to the reweighted graph stay out of the original.
+        k = h.with_added_edges([(2, 3, 9)])
+        assert k.edge_index(3, 2) == 3 and not h.has_edge(2, 3) and not g.has_edge(2, 3)
+        assert g.edges == ((1, 3, 5), (0, 2, -1), (0, 1, 0))
+        assert WeightedGraph(1).with_weight(3).edges == ()
+        with pytest.raises(ValueError, match="edge weight must be an integer"):
+            g.with_weight(1.5)
+
 
 class TestComponents:
     def test_no_edges(self):
@@ -332,12 +358,45 @@ class TestFileFormat:
             # edge, and the first bad edge wins over the edge count.
             ("p 3 9\ne 0 0\ne 1 2\ne 0 7\ne 1 x\n", 5),
             ("p 3 9\ne 1 2\ne 0 7\ne 0 0\n", 3),
+            # The same, past comment, blank and indented lines.
+            ("p 4 3\ne 0 1\nc note\n\n\te 1 0\n", 5),
+            ("p 4 3\r\ne 0 0\r\nc x\r\n\r\n\te 1 2\r\ne 1 x\r\n", 6),
+            ("c a\r\np 4 3\r\n\te 1 9\r\n\r\ne 1 2\r\n  q 1\r\n", 6),
+            ("p 4 3\n\te 1 2\nc\ne 2 1\n\ne 0 1 2 3\n", 6),
         ],
     )
     def test_malformed_inputs_carry_line_numbers(self, text, line):
         with pytest.raises(GraphFormatError) as ei:
             parse_graph(text)
         assert ei.value.line == line
+
+    @pytest.mark.parametrize("kind", ["self-loop", "out-of-range", "parallel"])
+    def test_bad_edge_reports_its_own_line_among_other_lines(self, kind):
+        # Comment, blank and whitespace-only lines, CRLF endings and
+        # indented e lines sit between the edge lines; the bad edge is put
+        # at every position from the first to the last.
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)]
+        fillers = ["c note", "", "c", " \t ", "comment x"]
+        rng = random.Random(kind)
+        first = 1 if kind == "parallel" else 0  # a parallel edge repeats an earlier one
+        for bad in range(first, len(edges)):
+            u, v = {"self-loop": (2, 2), "out-of-range": (3, 5), "parallel": edges[bad - 1][::-1]}[kind]
+            message = {
+                "self-loop": "self-loop at vertex 2",
+                "out-of-range": "edge {3, 5} uses a vertex outside 0..4",
+                "parallel": f"parallel edge {{{v}, {u}}}",
+            }[kind]
+            lines = rng.sample(fillers, rng.randint(0, 2)) + [f"p 5 {len(edges)}"]
+            for k, (a, b) in enumerate(edges):
+                lines += rng.sample(fillers, rng.randint(0, 3))
+                if k == bad:
+                    a, b, at = u, v, len(lines) + 1
+                lines.append(rng.choice(["", "\t", "  "]) + f"e {a} {b}" + rng.choice(["", " 4"]))
+            lines += rng.sample(fillers, rng.randint(0, 2))
+            text = "".join(line + rng.choice(["\n", "\r\n"]) for line in lines)
+            with pytest.raises(GraphFormatError, match=re.escape(message)) as ei:
+                parse_graph(text)
+            assert ei.value.line == at, (bad, text)
 
     def test_edge_count_mismatch_rejected(self):
         with pytest.raises(GraphFormatError, match="announced"):

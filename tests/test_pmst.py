@@ -568,40 +568,59 @@ class TestGreedyAugmentScale:
 
 class TestMinPmstTwoValued:
     def test_all_light_k4(self):
-        res = min_pmst_two_valued(HostKind.complete(4), [(u, v) for u, v in pairs_of(4)], 1, 2)
+        res = min_pmst_two_valued(HostKind.complete(4), WeightedGraph(4, pairs_of(4)), 1, 2)
         assert res.total_weight == 3
         assert res.heavy_count == 0
 
     def test_single_light_edge_k4(self):
-        res = min_pmst_two_valued(HostKind.complete(4), [(0, 1)], 1, 2)
+        res = min_pmst_two_valued(HostKind.complete(4), WeightedGraph(4, [(0, 1)]), 1, 2)
         assert res.heavy_count == 2
         assert res.total_weight == 1 + 2 * 2
 
     def test_light_matching_in_k33(self):
         host = HostKind.complete_bipartite(range(3), range(3, 6))
-        res = min_pmst_two_valued(host, [(0, 3), (1, 4), (2, 5)], 1, 2)
+        res = min_pmst_two_valued(host, WeightedGraph(6, [(0, 3), (1, 4), (2, 5)]), 1, 2)
         assert res.heavy_count == 2
         assert res.total_weight == 3 * 1 + 2 * 2
 
     def test_weight_order_enforced(self):
         with pytest.raises(WeightOrderError):
-            min_pmst_two_valued(HostKind.complete(4), [(0, 1)], 2, 2)
+            min_pmst_two_valued(HostKind.complete(4), WeightedGraph(4, [(0, 1)]), 2, 2)
 
     def test_odd_host_rejected(self):
         with pytest.raises(OddVertexCountError):
-            min_pmst_two_valued(HostKind.complete(5), [(0, 1)], 1, 2)
+            min_pmst_two_valued(HostKind.complete(5), WeightedGraph(5, [(0, 1)]), 1, 2)
 
     def test_non_host_light_edge_rejected(self):
         host = HostKind.complete_bipartite(range(2), range(2, 4))
         with pytest.raises(HostMismatchError, match=r"edge \{0, 1\} does not cross the host"):
-            min_pmst_two_valued(host, [(0, 2), (0, 1)], 1, 2)
+            min_pmst_two_valued(host, WeightedGraph(4, [(0, 2), (0, 1)]), 1, 2)
 
     @pytest.mark.parametrize(
         "host", [HostKind.complete(4), HostKind.complete_bipartite([0, 1], [2, 3])]
     )
     def test_self_loop_light_edge_rejected(self, host):
         with pytest.raises(ValueError, match="self-loop at vertex 2"):
-            min_pmst_two_valued(host, [(0, 2), (2, 2)], 1, 2)
+            min_pmst_two_valued(host, WeightedGraph(4, [(0, 2), (2, 2)]), 1, 2)
+
+    def test_light_graph_of_another_order_rejected(self):
+        for n in (2, 6):
+            with pytest.raises(HostMismatchError, match=f"graph has {n} vertices, host has 4"):
+                min_pmst_two_valued(HostKind.complete(4), WeightedGraph(n, [(0, 1)]), 1, 2)
+
+    def test_light_graph_unchanged_and_heavy_edges_indexed(self):
+        light = WeightedGraph(6, [(0, 1, 7), (2, 3, -4)])
+        res = min_pmst_two_valued(HostKind.complete(6), light, 1, 3)
+        # The support graph shares light's (u, v) -> index map only by copy.
+        assert light.edges == ((0, 1, 7), (2, 3, -4))
+        assert not any(light.has_edge(u, v) for u, v in res.added_edges)
+        support = res.support_graph
+        assert support.edges[:2] == ((0, 1, 1), (2, 3, 1))
+        assert len(res.added_edges) == res.heavy_count == 3
+        for k, (u, v) in enumerate(res.added_edges, start=2):
+            assert support.edge_index(v, u) == k
+            assert support.edges[k] == (u, v, 3)
+        assert res.total_weight == 2 * 1 + 3 * 3
 
     def test_tree_contains_perfect_matching_and_heavy_count(self):
         rng = random.Random(59)
@@ -610,7 +629,7 @@ class TestMinPmstTwoValued:
             mask = rng.getrandbits(len(pairs_of(n)))
             light = [p for b, p in enumerate(pairs_of(n)) if mask >> b & 1]
             a, b = sorted(rng.sample(range(0, 9), 2))
-            res = min_pmst_two_valued(HostKind.complete(n), light, a, b)
+            res = min_pmst_two_valued(HostKind.complete(n), WeightedGraph(n, light), a, b)
             t = as_bipartitioned_tree(res.support_graph, res.tree)
             assert tree_perfect_matching(t) is not None
             g0 = WeightedGraph(n, [(u, v, a) for u, v in light])
@@ -623,7 +642,7 @@ class TestMinPmstTwoValued:
         pairs4 = pairs_of(4)
         for mask in range(1 << 6):
             light = [p for b, p in enumerate(pairs4) if mask >> b & 1]
-            res = min_pmst_two_valued(HostKind.complete(4), light, 1, 5)
+            res = min_pmst_two_valued(HostKind.complete(4), WeightedGraph(4, light), 1, 5)
             full = WeightedGraph(
                 4, [(u, v, 1 if mask >> b & 1 else 5) for b, (u, v) in enumerate(pairs4)]
             )
@@ -640,6 +659,6 @@ class TestMinPmstTwoValued:
             bigger = mask | (1 << extra)
             light_small = [p for b, p in enumerate(pairs6) if mask >> b & 1]
             light_big = [p for b, p in enumerate(pairs6) if bigger >> b & 1]
-            w_small = min_pmst_two_valued(HostKind.complete(6), light_small, 1, 3).total_weight
-            w_big = min_pmst_two_valued(HostKind.complete(6), light_big, 1, 3).total_weight
-            assert w_big <= w_small
+            w_small = min_pmst_two_valued(HostKind.complete(6), WeightedGraph(6, light_small), 1, 3)
+            w_big = min_pmst_two_valued(HostKind.complete(6), WeightedGraph(6, light_big), 1, 3)
+            assert w_big.total_weight <= w_small.total_weight
