@@ -211,16 +211,10 @@ def _sb_certificate(cert: SbstCertificate) -> dict:
 
 
 def _host_from_args(g: WeightedGraph, args: argparse.Namespace) -> HostKind:
-    if args.host == "complete":
-        if args.plus_size is not None:
-            raise TreematchError(f"--plus-size {args.plus_size}: needs --host bipartite")
-        return HostKind.complete(g.vertex_count)
     n = g.vertex_count
-    if args.plus_size is not None and 2 * args.plus_size != n:
-        half = f"n = {n} is odd" if n % 2 else f"n/2 = {n // 2}"
-        raise TreematchError(f"--plus-size {args.plus_size}: k must equal n/2, and {half}")
-    k = n // 2
-    return HostKind.complete_bipartite(range(k), range(k, n))
+    if args.host == "complete":
+        return HostKind.complete(n)
+    return HostKind.complete_bipartite(range(n // 2), range(n // 2, n))
 
 
 # ---------------------------------------------------------------------------
@@ -489,13 +483,12 @@ def _add_out_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_host_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--host", choices=("complete", "bipartite"), default="complete")
     p.add_argument(
-        "--plus-size",
-        type=int,
-        default=None,
-        help="needs --host bipartite: vertices 0..k-1 form one side; the host "
-        "must be balanced, so k must equal n/2 (the default)",
+        "--host",
+        choices=("complete", "bipartite"),
+        default="complete",
+        help="complete graph (default), or the balanced complete bipartite "
+        "graph in which vertices 0..n/2-1 form one side",
     )
 
 

@@ -5,7 +5,7 @@ callers (and the CLI) can distinguish a malformed instance from a solver
 saying "no".  The one outcome-style exception is :class:`Infeasible`,
 raised by solvers whose answer is a definite negative.
 :class:`InternalError` is the one exception that is not a
-``TreematchError``: it means a result failed its certificate check.
+``TreematchError``: it means a self-check failed.
 """
 
 from __future__ import annotations
@@ -111,7 +111,9 @@ class Infeasible(TreematchError):
 
 
 class InternalError(AssertionError):
-    """A solver's result failed its certificate check: a bug, not bad input.
+    """A self-check failed: a bug, not bad input.  Every check the
+    package makes of its own results raises it, from a solver's internal
+    invariants to the certificate checks of ``verify``.
 
     It is an ``AssertionError`` and no ``TreematchError``, so the CLI lets
     it escape as a traceback instead of reporting an input error.

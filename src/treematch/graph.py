@@ -1,4 +1,4 @@
-"""Core graph types: weighted simple graphs, edge subsets, bipartitions,
+"""Core graph types: weighted simple graphs, edge subsets, 2-colorings,
 and spanning-tree views.
 
 All types are immutable value objects.  Vertices are the integers
@@ -29,6 +29,7 @@ EdgeSet = frozenset[int]
 # (cyclically) must be adjacent in the host graph.
 VertexCycle = tuple[int, ...]
 
+# A proper 2-coloring is a tuple with ``side[v]`` PLUS or MINUS per vertex.
 PLUS = 0
 MINUS = 1
 
@@ -100,10 +101,6 @@ class WeightedGraph:
     # -- basic accessors ---------------------------------------------------
 
     @property
-    def n(self) -> int:
-        return self.vertex_count
-
-    @property
     def edge_count(self) -> int:
         return len(self.edges)
 
@@ -126,9 +123,6 @@ class WeightedGraph:
     def endpoints(self, edge: int) -> tuple[int, int]:
         u, v, _ = self.edges[edge]
         return u, v
-
-    def weight(self, edge: int) -> int:
-        return self.edges[edge][2]
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -171,59 +165,23 @@ class WeightedGraph:
 
 
 @dataclass(frozen=True)
-class Bipartition:
-    """A proper 2-coloring; ``side[v]`` is PLUS (0) or MINUS (1).
-
-    Canonical form: the smallest vertex of every connected component is on
-    the PLUS side.
-    """
-
-    side: tuple[int, ...]
-
-    @property
-    def size_plus(self) -> int:
-        return self.side.count(PLUS)
-
-    @property
-    def size_minus(self) -> int:
-        return self.side.count(MINUS)
-
-    @property
-    def is_balanced(self) -> bool:
-        return self.size_plus == self.size_minus
-
-    def vertices_on(self, side: int) -> tuple[int, ...]:
-        return tuple(v for v, s in enumerate(self.side) if s == side)
-
-
-@dataclass(frozen=True)
 class BipartitionedTree:
     """A spanning tree of its graph together with the tree's 2-coloring.
 
-    The coloring is canonicalized so vertex 0 is on the PLUS side.
+    ``side[v]`` is PLUS or MINUS, with vertex 0 on the PLUS side.
     ``degree[v]`` is the degree of v within the tree, and ``adjacency[v]``
     its tree-only ``(edge_index, neighbor)`` pairs in ascending edge index.
     """
 
     graph: WeightedGraph
     edges: EdgeSet
-    bipartition: Bipartition
+    side: tuple[int, ...]
     degree: tuple[int, ...]
     adjacency: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False, compare=False)
 
     @property
     def total_weight(self) -> int:
         return self.graph.total_weight(self.edges)
-
-    def side_of(self, v: int) -> int:
-        return self.bipartition.side[v]
-
-    def leaves_on(self, side: int) -> tuple[int, ...]:
-        return tuple(
-            v
-            for v in range(self.graph.vertex_count)
-            if self.bipartition.side[v] == side and self.degree[v] == 1
-        )
 
 
 # -- operations ------------------------------------------------------------
@@ -286,8 +244,9 @@ def _odd_cycle_witness(parent: list[int], u: int, v: int) -> VertexCycle:
     return tuple(list(reversed(pu)) + pv[:-1])
 
 
-def bipartition_of(g: WeightedGraph) -> Bipartition:
-    """Proper 2-coloring of g, smallest vertex of each component on PLUS.
+def bipartition_of(g: WeightedGraph) -> tuple[int, ...]:
+    """Proper 2-coloring of g, ``side[v]`` PLUS or MINUS, with the
+    smallest vertex of each component on PLUS.
 
     Raises NotBipartiteError carrying a witness odd cycle otherwise.
     """
@@ -307,7 +266,7 @@ def bipartition_of(g: WeightedGraph) -> Bipartition:
                     queue.append(y)
                 elif side[y] == side[x]:
                     raise NotBipartiteError(_odd_cycle_witness(parent, x, y))
-    return Bipartition(tuple(side))
+    return tuple(side)
 
 
 def as_bipartitioned_tree(g: WeightedGraph, tree_edges: Iterable[int]) -> BipartitionedTree:
@@ -344,7 +303,7 @@ def as_bipartitioned_tree(g: WeightedGraph, tree_edges: Iterable[int]) -> Bipart
         # n-1 edges but not spanning: there is a cycle somewhere.
         raise NotATreeError("edge set does not span all vertices")
     return BipartitionedTree(
-        g, edges, Bipartition(tuple(side)), tuple(map(len, adj)), tuple(map(tuple, adj))
+        g, edges, tuple(side), tuple(map(len, adj)), tuple(map(tuple, adj))
     )
 
 
@@ -464,13 +423,3 @@ def format_graph(g: WeightedGraph, comment: str | None = None) -> str:
     for u, v, w in sorted(g.edges):
         lines.append(f"e {u} {v} {w}" if w != 0 else f"e {u} {v}")
     return "\n".join(lines) + "\n"
-
-
-def load_graph(path) -> WeightedGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
-
-
-def save_graph(g: WeightedGraph, path, comment: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_graph(g, comment))

@@ -57,12 +57,6 @@ class Matching:
     def is_perfect(self) -> bool:
         return 2 * len(self.edges) == self.graph.vertex_count
 
-    def exposed(self) -> list[int]:
-        return [v for v, m in enumerate(self.mate) if m is None]
-
-    def covers(self, v: int) -> bool:
-        return self.mate[v] is not None
-
 
 @dataclass(frozen=True)
 class DeficiencyProfile:

@@ -98,7 +98,7 @@ from heapq import heapify, heappop, heappush
 from math import inf
 from typing import Iterable, Sequence
 
-from .errors import GroundSetMismatchError
+from .errors import GroundSetMismatchError, InternalError
 from .graph import WeightedGraph
 
 
@@ -395,7 +395,7 @@ def min_weight_common_base(
         fresh = True
 
     if not (m1.is_independent(selection) and m2.is_independent(selection)):
-        raise AssertionError("intersection result is not independent in both matroids")
+        raise InternalError("intersection result is not independent in both matroids")
     return frozenset(selection)
 
 
@@ -442,7 +442,7 @@ def _cheapest_path(
         for y in heads:
             ny = base + into[y]
             if ny <= ds:
-                raise AssertionError("potentials are not feasible")
+                raise InternalError("potentials are not feasible")
             if ny < dist[y]:
                 dist[y] = ny
                 pred[y] = s
@@ -458,7 +458,7 @@ def _cheapest_path(
                 for x in circuit(y):
                     nx = full + into[x]
                     if nx <= ny:
-                        raise AssertionError("potentials are not feasible")
+                        raise InternalError("potentials are not feasible")
                     if nx < dist[x]:
                         dist[x] = nx
                         pred[x] = y
@@ -476,7 +476,7 @@ def _cheapest_path(
     while node != src:
         path.append(node)
         if pred[node] == -1:
-            raise AssertionError("shortest-path keys admit no predecessor")
+            raise InternalError("shortest-path keys admit no predecessor")
         node = pred[node]
 
     # The arc count of a key lies in 0..scale-1, so floor division
@@ -485,7 +485,7 @@ def _cheapest_path(
     # sink ends below the chosen one, which the next round's arcs into it
     # need.  A key past lim, or none, moves its element by cap.
     if min(dist) < 0:
-        raise AssertionError("potentials are not feasible")
+        raise InternalError("potentials are not feasible")
     lim = (best_dist // scale - low) * scale
     pot[:] = [p + (d if d < lim else lim) // scale for p, d in zip(pot, dist)]
     return path

@@ -88,10 +88,6 @@ class HostKind:
         return cls(n, tuple(MINUS if v in minus else PLUS for v in range(n)))
 
     @property
-    def kind(self) -> str:
-        return "complete" if self.side is None else "complete-bipartite"
-
-    @property
     def is_bipartite(self) -> bool:
         return self.side is not None
 
@@ -484,8 +480,8 @@ def min_pmst_two_valued(
     tree = build_tree_containing_matching(support, matching)
     heavy = sum(1 for i in tree if support.edges[i][2] == heavy_weight)
     if heavy != aug.added_count:
-        raise AssertionError("spanning-tree completion used a non-added heavy edge")
+        raise InternalError("spanning-tree completion used a non-added heavy edge")
     total = support.total_weight(tree)
     if total != light_weight * (n - 1 - heavy) + heavy_weight * heavy:
-        raise AssertionError("tree weight disagrees with its light and heavy edge counts")
+        raise InternalError("tree weight disagrees with its light and heavy edge counts")
     return MinPmstResult(support, tree, total, heavy, aug.added_edges)

@@ -35,6 +35,7 @@ from .errors import (
     BadRotationError,
     DisconnectedError,
     GraphFormatError,
+    InternalError,
     MalformedTreeError,
     NotATreeError,
     NotCubicError,
@@ -261,7 +262,7 @@ def map_hc_to_tree(red: HcReduction, cycle: VertexCycle) -> EdgeSet:
         seq = [s0] + seq[1:][::-1]
         a, b = b, a
         if b != _nxt(a):
-            raise AssertionError("two distinct slots must be consecutive one way around")
+            raise InternalError("two distinct slots must be consecutive one way around")
 
     edges_along = [src.edge_index(seq[k], seq[(k + 1) % n]) for k in range(n)]
     anchor_port = red.port(s0, a)
@@ -281,10 +282,10 @@ def map_hc_to_tree(red: HcReduction, cycle: VertexCycle) -> EdgeSet:
             if not prev_ends & set(red.graph.endpoints(e))
         ]
         if not options:
-            raise AssertionError("no derived edge disjoint from the previous choice")
+            raise InternalError("no derived edge disjoint from the previous choice")
         chosen.append(options[0])
     if set(red.graph.endpoints(chosen[0])) & set(red.graph.endpoints(chosen[-1])):
-        raise AssertionError("cycle closure reuses a port")
+        raise InternalError("cycle closure reuses a port")
 
     covered = set()
     for e in chosen:
@@ -293,14 +294,14 @@ def map_hc_to_tree(red: HcReduction, cycle: VertexCycle) -> EdgeSet:
     for u in range(n):
         free = [i for i in (1, 2, 3) if red.port(u, i) not in covered]
         if len(free) != 1:
-            raise AssertionError("each hub must have exactly one exposed port")
+            raise InternalError("each hub must have exactly one exposed port")
         matching_edges.add(red.graph.edge_index(red.hub(u), red.port(u, free[0])))
     matching = Matching.from_edges(red.graph, matching_edges)
     if not matching.is_perfect:
-        raise AssertionError("chosen edges do not form a perfect matching")
+        raise InternalError("chosen edges do not form a perfect matching")
     tree = build_tree_containing_matching(red.graph, matching)
     if red.graph.total_weight(tree) != red.threshold:
-        raise AssertionError("tree weight differs from the threshold")
+        raise InternalError("tree weight differs from the threshold")
     return tree
 
 
@@ -638,7 +639,7 @@ def map_assignment_to_sb_tree(red: SatReduction, assignment: Sequence[int]) -> E
 
     tree = frozenset(e for e in range(red.graph.edge_count) if e not in drops)
     if len(tree) != red.graph.vertex_count - 1:
-        raise AssertionError("the dropped edges do not leave a spanning tree")
+        raise InternalError("the dropped edges do not leave a spanning tree")
     return tree
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DisconnectedError, Infeasible, UnbalancedError
+from .errors import DisconnectedError, Infeasible, InternalError, UnbalancedError
 from .graph import (
     MINUS,
     PLUS,
@@ -53,10 +53,10 @@ def is_strongly_balanced(tree: BipartitionedTree) -> SbstCertificate | None:
     once: each tree edge has one end on the plus side, so k plus vertices
     of this pattern carry 2k - 1 = n - 1 edges, and k = n/2.
     """
-    if 2 * tree.bipartition.side.count(PLUS) != tree.graph.vertex_count:
+    if 2 * tree.side.count(PLUS) != tree.graph.vertex_count:
         return None
     for side in (PLUS, MINUS):
-        members = tree.bipartition.vertices_on(side)
+        members = [v for v, s in enumerate(tree.side) if s == side]
         leaves = [v for v in members if tree.degree[v] == 1]
         if len(leaves) != 1:
             continue
@@ -64,7 +64,7 @@ def is_strongly_balanced(tree: BipartitionedTree) -> SbstCertificate | None:
             continue
         matching = tree_perfect_matching(tree)
         if matching is None:
-            raise AssertionError("degree pattern held without a perfect matching")
+            raise InternalError("degree pattern held without a perfect matching")
         return SbstCertificate(frozenset(members), leaves[0], matching)
     return None
 
@@ -99,9 +99,7 @@ def alternating_characterization(tree: BipartitionedTree) -> SbstCertificate | N
                     break
                 stack.append(y)
         if good:
-            plus = frozenset(
-                v for v in range(n) if tree.side_of(v) == tree.side_of(r)
-            )
+            plus = frozenset(v for v in range(n) if tree.side[v] == tree.side[r])
             return SbstCertificate(plus, r, matching)
     return None
 
@@ -121,23 +119,19 @@ def min_sbst_bipartite(g: WeightedGraph) -> MinSbstResult:
     inputs and Infeasible when no strongly balanced tree exists.  Ties
     between the two side choices go to the side containing vertex 0.
     """
-    bip = bipartition_of(g)
+    coloring = bipartition_of(g)
     if not is_connected(g):
         raise DisconnectedError("graph is not connected")
-    if not bip.is_balanced:
-        raise UnbalancedError(
-            f"sides have sizes {bip.size_plus} and {bip.size_minus}"
-        )
     n = g.vertex_count
+    plus = coloring.count(PLUS)
+    if 2 * plus != n:
+        raise UnbalancedError(f"sides have sizes {plus} and {n - plus}")
     weights = [w for _, _, w in g.edges]
     graphic = GraphicMatroid(g)
 
     best: tuple[int, EdgeSet] | None = None
     for side in (PLUS, MINUS):
-        members = bip.vertices_on(side)
-        parts = [
-            [e for e, _ in g.adjacency[v]] for v in members
-        ]
+        parts = [[e for e, _ in g.adjacency[v]] for v, s in enumerate(coloring) if s == side]
         caps = [2] * len(parts)
         base = min_weight_common_base(graphic, PartitionMatroid(parts, caps), weights, n - 1)
         if base is None:
@@ -150,5 +144,5 @@ def min_sbst_bipartite(g: WeightedGraph) -> MinSbstResult:
     tree = as_bipartitioned_tree(g, best[1])
     cert = is_strongly_balanced(tree)
     if cert is None:
-        raise AssertionError("matroid intersection returned a non-balanced tree")
+        raise InternalError("matroid intersection returned a non-balanced tree")
     return MinSbstResult(best[1], best[0], cert)

@@ -272,14 +272,14 @@ def test_05_min_pmst_two_valued():
             )
             brute = brute_force_min_pmst(support)
             assert brute is not None
-            assert res.total_weight == brute[1], (host.kind, n, trial)
+            assert res.total_weight == brute[1], (host.is_bipartite, n, trial)
 
             g0 = WeightedGraph(n, [(u, v, a) for u, v in light_pairs])
             if host.is_bipartite:
                 opt = brute_force_opt_aug(g0, host)
             else:
                 opt = augmentation_optimum(deficiency_profile(g0))
-            assert res.heavy_count == opt, (host.kind, n, trial)
+            assert res.heavy_count == opt, (host.is_bipartite, n, trial)
             assert res.total_weight == a * (n - 1 - opt) + b * opt
 
 

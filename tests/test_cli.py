@@ -323,32 +323,21 @@ class TestAug:
         assert code == 0
         assert out == AUG_BIPARTITE_REPORT
 
-    def test_plus_size_flag(self, tmp_path, capsys):
-        g = WeightedGraph(4, [(0, 1, 1)])  # both ends on the same side
-        path = write_graph(tmp_path, "same.graph", g)
-        code, _, err = run(capsys, ["aug", path, "--host", "bipartite", "--plus-size", "2"])
-        assert code == 1
-        assert "error:" in err
-
-    @pytest.mark.parametrize(
-        "n, k, rule",
-        [(6, -3, "n/2 = 3"), (6, 0, "n/2 = 3"), (6, 4, "n/2 = 3"), (5, 2, "n = 5 is odd")],
-    )
-    def test_plus_size_must_be_half(self, tmp_path, capsys, n, k, rule):
-        path = write_graph(tmp_path, "path.graph", WeightedGraph(n, [(0, n - 1, 1)]))
-        for command in ("aug", "minpmst2"):
-            argv = [command, path, "--host", "bipartite", "--plus-size", str(k)]
-            code, out, err = run(capsys, argv)
-            assert (code, out) == (1, "")
-            assert err == f"error: --plus-size {k}: k must equal n/2, and {rule}\n"
+    @pytest.mark.parametrize("command", [["aug"], ["minpmst2"], ["oracle", "optaug"]])
+    def test_odd_bipartite_host_is_an_input_error(self, tmp_path, capsys, command):
+        path = write_graph(tmp_path, "p5.graph", WeightedGraph(5, [(0, 4, 1)]))
+        code, out, err = run(capsys, [*command, path, "--host", "bipartite"])
+        assert (code, out) == (1, "")
+        assert err == "error: sides have sizes 2 and 3\n"
 
     @pytest.mark.parametrize("command", [["aug"], ["minpmst2"], ["oracle", "optaug"]])
-    def test_plus_size_needs_bipartite_host(self, tmp_path, capsys, command):
+    def test_plus_size_is_not_an_option(self, tmp_path, capsys, command):
         path = write_graph(tmp_path, "path.graph", WeightedGraph(6, [(0, 5, 1), (1, 3, 1)]))
-        for host in ([], ["--host", "complete"]):
-            code, out, err = run(capsys, [*command, path, *host, "--plus-size", "-3"])
-            assert (code, out) == (1, "")
-            assert err == "error: --plus-size -3: needs --host bipartite\n"
+        with pytest.raises(SystemExit) as ei:
+            main([*command, path, "--host", "bipartite", "--plus-size", "3"])
+        out, err = capsys.readouterr()
+        assert (ei.value.code, out) == (2, "")
+        assert "unrecognized arguments: --plus-size 3" in err
 
     @pytest.mark.parametrize("command", ["aug", "minpmst2"])
     def test_same_side_edge_is_an_input_error(self, tmp_path, capsys, command):
@@ -356,12 +345,6 @@ class TestAug:
         code, out, err = run(capsys, [command, path, "--host", "bipartite"])
         assert (code, out) == (1, "")
         assert err == "error: edge {0, 1} does not cross the host sides\n"
-
-    def test_plus_size_half_is_the_default(self, tmp_path, capsys):
-        path = write_graph(tmp_path, "path.graph", WeightedGraph(6, [(0, 5, 1), (1, 3, 1)]))
-        code, out, _ = run(capsys, ["aug", path, "--host", "bipartite"])
-        assert code == 0
-        assert run(capsys, ["aug", path, "--host", "bipartite", "--plus-size", "3"])[1] == out
 
     def test_odd_order_infeasible(self, tmp_path, capsys):
         path = write_graph(tmp_path, "e3.graph", WeightedGraph(3, []))
@@ -453,6 +436,7 @@ class TestMinSbstBipartite:
         path = write_graph(tmp_path, "p3.graph", g)
         code, out, _ = run(capsys, ["minsbst-bipartite", path])
         assert code == 2
+        assert report(out)["reason"] == "sides have sizes 2 and 1"
 
     def test_odd_cycle_is_an_input_error(self, tmp_path, capsys):
         g = WeightedGraph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
@@ -865,6 +849,35 @@ def test_no_bare_asserts_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_self_checks_raise_internal_error():
+    # Every failed self-check raises InternalError, an AssertionError
+    # subclass, so one exception type names a bug in the package.
+    package = Path(treematch.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            exc = getattr(node, "exc", None) if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_all_lists_the_public_names_the_package_binds():
+    init = Path(treematch.__file__).resolve()
+    bound = set()
+    for node in ast.parse(init.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ImportFrom):
+            bound.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Assign):
+            bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    public = {name for name in bound if not name.startswith("_")}
+    assert [name for name in treematch.__all__ if not hasattr(treematch, name)] == []
+    assert len(treematch.__all__) == len(set(treematch.__all__))
+    assert set(treematch.__all__) == public
 
 
 def test_no_process_global_state_in_the_package():

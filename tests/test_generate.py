@@ -34,8 +34,7 @@ class TestNamedGraphs:
     def test_complete_bipartite_sides(self):
         g = complete_bipartite(2, 3)
         assert g.edge_count == 6
-        bip = bipartition_of(g)
-        assert bip.vertices_on(bip.side[0]) == (0, 1)
+        assert bipartition_of(g) == (0, 0, 1, 1, 1)
 
     @pytest.mark.parametrize("a, b", [(0, 3), (3, 0)])
     def test_complete_bipartite_needs_both_sides(self, a, b):
@@ -44,7 +43,7 @@ class TestNamedGraphs:
 
     def test_cycle_weights(self):
         g = cycle(4, [1, 2, 3, 4])
-        assert g.weight(g.edge_index(3, 0)) == 4
+        assert g.edges[g.edge_index(3, 0)][2] == 4
         with pytest.raises(ValueError):
             cycle(4, [1, 2])
         with pytest.raises(ValueError):

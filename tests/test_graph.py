@@ -1,4 +1,4 @@
-"""Graph type, traversals, bipartition, and the text file format."""
+"""Graph type, traversals, 2-colorings, and the text file format."""
 
 from __future__ import annotations
 
@@ -25,9 +25,7 @@ from treematch import (
     format_graph,
     is_connected,
     is_hamiltonian_cycle,
-    load_graph,
     parse_graph,
-    save_graph,
 )
 from treematch.generate import cube, CUBE_HAMILTONIAN_CYCLE
 from treematch.graph import BadEdgeError
@@ -65,11 +63,11 @@ class TestConstruction:
 
     def test_accessors(self):
         g = WeightedGraph(4, [(0, 1, 3), (2, 1, 4)])
-        assert g.n == 4 and g.edge_count == 2
+        assert g.vertex_count == 4 and g.edge_count == 2
         assert g.edge_index(1, 0) == 0
         assert g.has_edge(1, 2) and not g.has_edge(0, 3)
         assert g.endpoints(1) == (1, 2)
-        assert g.weight(1) == 4
+        assert g.edges[1][2] == 4
         assert g.degree(1) == 2 and g.degree(3) == 0
         assert g.total_weight([0, 1]) == 7
         assert g.edge_pairs([1, 0]) == [(0, 1), (1, 2)]
@@ -178,15 +176,12 @@ class TestComponents:
 
 class TestBipartition:
     def test_single_edge(self):
-        b = bipartition_of(WeightedGraph(2, [(0, 1, 1)]))
-        assert b.vertices_on(0) == (0,) and b.vertices_on(1) == (1,)
+        assert bipartition_of(WeightedGraph(2, [(0, 1, 1)])) == (0, 1)
 
     def test_four_cycle(self):
         g = WeightedGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
-        b = bipartition_of(g)
-        assert b.vertices_on(0) == (0, 2)
-        assert b.vertices_on(1) == (1, 3)
-        assert b.is_balanced
+        side = bipartition_of(g)
+        assert side == (0, 1, 0, 1) and type(side) is tuple
 
     def test_triangle_rejected_with_odd_cycle_witness(self):
         g = WeightedGraph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
@@ -199,15 +194,14 @@ class TestBipartition:
 
     def test_component_anchors_are_plus(self):
         g = WeightedGraph(4, [(0, 1, 1), (2, 3, 1)])
-        b = bipartition_of(g)
-        assert b.side[0] == 0 and b.side[2] == 0
+        assert bipartition_of(g) == (0, 1, 0, 1)
 
     def test_proper_coloring_is_rigid_on_connected_graphs(self):
         # flipping any one vertex breaks some edge
         g = cube()
-        b = bipartition_of(g)
+        side = bipartition_of(g)
         for v in range(g.vertex_count):
-            flipped = list(b.side)
+            flipped = list(side)
             flipped[v] ^= 1
             assert any(flipped[u] == flipped[w] for u, w, _ in g.edges)
 
@@ -230,10 +224,8 @@ class TestBipartition:
 class TestBipartitionedTree:
     def test_path_sides(self):
         t = as_bipartitioned_tree(path(4), [0, 1, 2])
-        assert t.bipartition.vertices_on(0) == (0, 2)
-        assert t.bipartition.vertices_on(1) == (1, 3)
+        assert t.side == (0, 1, 0, 1)
         assert t.degree == (1, 2, 2, 1)
-        assert t.leaves_on(0) == (0,) and t.leaves_on(1) == (3,)
         # Tree edges given out of index order, in a graph whose edge
         # indices do not follow the path: adjacency is by ascending index.
         g = WeightedGraph(5, [(2, 4, 1), (0, 3, 1), (1, 2, 1), (0, 4, 1), (0, 1, 1)])
@@ -246,13 +238,12 @@ class TestBipartitionedTree:
             ((0, 2),),
         )
         assert t.degree == (2, 2, 2, 1, 1)
-        assert t.bipartition.vertices_on(0) == (0, 2)
+        assert t.side == (0, 1, 0, 1, 1)
 
     def test_star_sides(self):
         g = WeightedGraph(4, [(0, 1, 1), (0, 2, 1), (0, 3, 1)])
         t = as_bipartitioned_tree(g, [0, 1, 2])
-        assert t.bipartition.vertices_on(0) == (0,)
-        assert t.bipartition.vertices_on(1) == (1, 2, 3)
+        assert t.side == (0, 1, 1, 1)
 
     def test_cycle_is_not_a_tree(self):
         g = WeightedGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
@@ -285,9 +276,7 @@ class TestBipartitionedTree:
             t = as_bipartitioned_tree(g, range(n - 1))
             assert sum(t.degree) == 2 * (n - 1)
             for side in (0, 1):
-                assert (
-                    sum(t.degree[v] for v in t.bipartition.vertices_on(side)) == n - 1
-                )
+                assert sum(d for d, s in zip(t.degree, t.side) if s == side) == n - 1
 
     def test_total_weight(self):
         t = as_bipartitioned_tree(path(3, [5, 7]), [0, 1])
@@ -405,12 +394,6 @@ class TestFileFormat:
     def test_missing_p_line_rejected(self):
         with pytest.raises(GraphFormatError, match="missing p line"):
             parse_graph("c nothing here\n")
-
-    def test_save_load(self, tmp_path):
-        g = WeightedGraph(3, [(0, 2, -4), (1, 2, 3)])
-        p = tmp_path / "g.graph"
-        save_graph(g, p, comment="x")
-        assert load_graph(p).edges == g.edges
 
 
 # Line breaks that ``str.splitlines`` honours.  \x1c and \x85 are also

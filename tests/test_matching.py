@@ -43,11 +43,11 @@ class TestMaximumMatching:
     def test_p3_leaves_one_exposed(self):
         m = maximum_matching(path(3))
         assert m.size == 1
-        assert len(m.exposed()) == 1
+        assert m.mate.count(None) == 1
 
     def test_edgeless(self):
         m = maximum_matching(WeightedGraph(4))
-        assert m.size == 0 and m.exposed() == [0, 1, 2, 3]
+        assert m.size == 0 and m.mate == (None,) * 4
 
     def test_odd_cycle_needs_blossom(self):
         g = WeightedGraph(5, [(i, (i + 1) % 5, 1) for i in range(5)])
@@ -213,7 +213,7 @@ class TestMatchingType:
     def test_covers(self):
         g = path(3)
         m = Matching.from_edges(g, [0])
-        assert m.covers(0) and m.covers(1) and not m.covers(2)
+        assert m.mate == (1, 0, None)
 
 
 class TestDeficiency:

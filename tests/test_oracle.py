@@ -937,13 +937,13 @@ class TestBruteForceOptAug:
         # deficiency d >= 2 next to a matched edge needs d / 2 + 1 edges,
         # one more than the root bound, so the search has to deepen.
         rng = random.Random(2525)
-        deeper = {"complete": 0, "complete-bipartite": 0}
+        deeper = {False: 0, True: 0}  # keyed by host.is_bipartite
         for _ in range(120):
             order = rng.sample(range(8), 8)
             tree = prufer_tree(tuple(rng.randrange(6) for _ in range(4)), 6)
             pairs = {tuple(sorted((order[a], order[b]))) for a, b in tree + [(6, 7)]}
             h = WeightedGraph(8, [(u, v, 1) for u, v in sorted(pairs)])
-            side = bipartition_of(h).side
+            side = bipartition_of(h)
             hosts = [HostKind.complete(8)]
             if side.count(0) == 4:
                 plus = [v for v in range(8) if side[v] == 0]
@@ -952,8 +952,8 @@ class TestBruteForceOptAug:
                 got = brute_force_opt_aug(h, host)
                 assert got == reference_opt_aug(h, host), (sorted(pairs), host)
                 assert got == augmentation_optimum(deficiency_profile(h)), (sorted(pairs), host)
-                deeper[host.kind] += got > self.root_bound(h)
-        assert deeper["complete"] >= 40 and deeper["complete-bipartite"] >= 6, deeper
+                deeper[host.is_bipartite] += got > self.root_bound(h)
+        assert deeper[False] >= 40 and deeper[True] >= 6, deeper
 
 
 class TestMaxMatchingSizeExhaustive:
