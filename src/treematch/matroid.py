@@ -30,10 +30,11 @@ lightest (weight, id) element that both matroids can add.  If low >=
 w(y), every sink lies at least w(y) from the source.  Every path other
 than the single arc source -> y has three or more arcs, so the search
 would take that arc.  Such a round adds y at once.  The two matroid
-contexts take y in place (``add``; the forest re-roots the smaller of
-the two trees y links), and two heaps with lazy deletion hold the
-elements both matroids can add by (weight, id) and the sinks by
-(potential, id), so a direct round costs O(log g) beyond that update.
+contexts, made once per solve, take y in place (``add``; the forest
+re-roots the smaller of the two trees y links), and two heaps with lazy
+deletion hold the elements both matroids can add by (weight, id) and
+the sinks by (potential, id), so a direct round costs O(log g) beyond
+that update.
 On the sbst-bipartite benchmark's inputs about nine rounds in ten are
 of this kind.
 
@@ -81,7 +82,15 @@ two matroids.  The solver therefore keeps the three sets for the whole
 solve: the first as a list filtered at each full round, the others as
 the two heaps, whose stale entries are dropped as they surface.  Only
 the sinks are re-keyed, over the live ones, once a full round has moved
-the potentials.
+the potentials.  It keeps the two contexts for the whole solve as well.
+A full round first takes every element that P removes out of both
+(``cut`` splits the forest at that edge, ``remove`` drops it from its
+part), then puts every element that P adds in with ``add``.  Each set
+in between lies inside I', so every ``add`` links two trees and fills
+no part past its cap.  The filters, the heap clean-ups and the search
+read the contexts' arrays directly: an edge is addable when its ends
+have different ``comp`` roots, a part has room when its count is below
+its capacity, and y's partition circuit is ``members[part_of[y]]``.
 
 The digraph leaves out the textbook arcs from I into each y the first
 matroid can absorb, and from each sink into I.  A path to x in I costs
@@ -133,7 +142,14 @@ class _ForestContext:
     The circuit of I + y is y plus the tree path between y's endpoints,
     so the edges whose circuit passes through tree edge x are those that
     cross the cut x makes in its tree.  ``comp[v]`` is the root of v's
-    tree, and ``size`` counts a tree's vertices at its root.
+    tree, so an edge is addable when its ends have different roots, and
+    ``size`` counts a tree's vertices at its root.
+
+    ``add(y)`` links two trees and ``cut(x)`` splits one, so the view
+    follows I through a whole solve.  ``cut`` detaches the subtree below
+    x's child end, which becomes a tree rooted at that end: its vertices
+    are re-labelled, both sizes fixed and the preorder index dropped, in
+    time proportional to that subtree.
     """
 
     def __init__(self, graph: WeightedGraph, selection: Sequence[int]):
@@ -170,10 +186,6 @@ class _ForestContext:
                     count += 1
         return count
 
-    def addable(self, y: int) -> bool:
-        u, v, _ = self.graph.edges[y]
-        return self.comp[u] != self.comp[v]
-
     def add(self, y: int) -> None:
         """Link the two trees that addable edge y joins: the smaller one
         is re-rooted at its endpoint of y and hung below the other."""
@@ -187,6 +199,19 @@ class _ForestContext:
         self._hang(u, root)
         self.adj[u].append(v)
         self.adj[v].append(u)
+        self._preorder = None
+
+    def cut(self, x: int) -> None:
+        """Take tree edge x out: the child end's subtree becomes a tree
+        of its own, rooted at that end."""
+        a, b, _ = self.graph.edges[x]
+        c, p = (a, b) if self.parent_vertex[a] == b else (b, a)
+        self.adj[c].remove(p)
+        self.adj[p].remove(c)
+        self.comp[c] = c
+        self.parent_vertex[c] = -1
+        self.size[c] = 1 + self._hang(c, c)
+        self.size[self.comp[p]] -= self.size[c]
         self._preorder = None
 
     def entering(self, x: int) -> list[int]:
@@ -279,6 +304,12 @@ class PartitionMatroid:
 
 
 class _PartitionContext:
+    """Per-part view of an independent set: part i holds ``counts[i]``
+    elements of I, listed in ``members[i]``.  y outside I is addable when
+    its part's count is below its capacity; otherwise the circuit of
+    I + y, less y, is ``members[part_of[y]]``.  ``add`` and ``remove``
+    keep both up to date."""
+
     def __init__(self, m: PartitionMatroid, selection: Sequence[int]):
         self.part_of = m.part_of
         self.capacities = m.capacities
@@ -287,18 +318,15 @@ class _PartitionContext:
         for x in selection:
             self.add(x)
 
-    def addable(self, y: int) -> bool:
-        i = self.part_of[y]
-        return self.counts[i] < self.capacities[i]
-
-    def circuit(self, y: int) -> list[int]:
-        """The circuit of I + y, less y: I's elements in y's part."""
-        return self.members[self.part_of[y]]
-
     def add(self, y: int) -> None:
         i = self.part_of[y]
         self.counts[i] += 1
         self.members[i].append(y)
+
+    def remove(self, x: int) -> None:
+        i = self.part_of[x]
+        self.counts[i] -= 1
+        self.members[i].remove(x)
 
 
 def min_weight_common_base(
@@ -321,6 +349,13 @@ def min_weight_common_base(
     paths by cost and then by arc count, and every node's predecessor is
     the smallest source id among its tight in-arcs, so the result is
     deterministic and does not depend on which rounds were direct.
+
+    Each matroid's context is made once, by ``prepare``, and follows I
+    in place.  A direct round ``add``s its element to both.  A full round
+    first takes out each element that leaves I (``cut`` in the forest,
+    ``remove`` in the partition), then ``add``s each one that enters, so
+    every set in between lies inside the new I and no part passes its
+    cap.
     """
     if not (isinstance(m1, GraphicMatroid) and isinstance(m2, PartitionMatroid)):
         raise TypeError(
@@ -341,34 +376,41 @@ def min_weight_common_base(
 
     scale = 2 * g + 4  # longer than any simple path's arc count
     in_set = [False] * g
-    selection: list[int] = []
     pot = list(weights)  # the source's potential is 0
+    ctx1 = m1.prepare(())
+    ctx2 = m2.prepare(())
+    # Both contexts are updated in place for the whole solve; the loops
+    # read their arrays.  An edge whose ends lie in two trees is outside I.
+    comp = ctx1.comp
+    end_u = [u for u, _, _ in m1.graph.edges]
+    end_v = [v for _, v, _ in m1.graph.edges]
+    part_of, counts, caps = ctx2.part_of, ctx2.counts, ctx2.capacities
     # No round takes an element out of either matroid's span of I, so
     # the elements outside I that the first matroid can add (free), the
     # sinks and the elements both can add are only ever filtered.
     free = list(range(g))
-    live = set(range(g))  # the sinks when a full round last began
+    sinks = [(p, y) for y, p in enumerate(pot) if caps[part_of[y]]]
+    heapify(sinks)
     both = [(w, y) for y, w in enumerate(weights)]
     heapify(both)
-    fresh = True  # the contexts need making, the sinks keying
 
     for _ in range(k):
-        if fresh:
-            ctx1 = m1.prepare(selection)
-            ctx2 = m2.prepare(selection)
-            sinks = [(pot[y], y) for y in live if not in_set[y] and ctx2.addable(y)]
-            heapify(sinks)
-            fresh = False
         # Sinks keep their potentials until a full round, so stale heap
         # entries are dropped when they surface.
-        while sinks and (in_set[sinks[0][1]] or not ctx2.addable(sinks[0][1])):
+        while sinks:
+            y = sinks[0][1]
+            i = part_of[y]
+            if not in_set[y] and counts[i] < caps[i]:
+                break
             heappop(sinks)
-        while both and (
-            in_set[both[0][1]] or not ctx1.addable(both[0][1]) or not ctx2.addable(both[0][1])
-        ):
-            heappop(both)
-        if not sinks:
+        else:
             return None
+        while both:
+            y = both[0][1]
+            i = part_of[y]
+            if comp[end_u[y]] != comp[end_v[y]] and counts[i] < caps[i]:
+                break
+            heappop(both)
         low = sinks[0][0]  # least potential of a sink
         if both and low >= both[0][0]:
             # Every sink lies at least its potential, so at least w(y),
@@ -380,20 +422,33 @@ def min_weight_common_base(
             ctx2.add(y)
             in_set[y] = True
             pot[y] -= weights[y]
-            selection.append(y)
             continue
 
-        free = [y for y in free if not in_set[y] and ctx1.addable(y)]
-        live = {y for _, y in sinks if not in_set[y] and ctx2.addable(y)}
-        path = _cheapest_path(ctx1, ctx2, weights, pot, in_set, free, live, low, scale)
+        free = [y for y in free if comp[end_u[y]] != comp[end_v[y]]]
+        path = _cheapest_path(ctx1, ctx2, weights, pot, in_set, free, low, scale)
         if path is None:
             return None
+        # Cutting every leaving element first keeps each intermediate set
+        # inside I', so every add links two trees and fills no full part.
         for x in path:
-            pot[x] += weights[x] if in_set[x] else -weights[x]
+            if in_set[x]:
+                ctx1.cut(x)
+                ctx2.remove(x)
+        for x in path:
+            if in_set[x]:
+                pot[x] += weights[x]
+            else:
+                ctx1.add(x)
+                ctx2.add(x)
+                pot[x] -= weights[x]
             in_set[x] = not in_set[x]
-        selection = [x for x in selection if in_set[x]] + [x for x in path if in_set[x]]
-        fresh = True
+        sinks = [
+            (pot[y], y) for _, y in sinks
+            if not in_set[y] and counts[part_of[y]] < caps[part_of[y]]
+        ]
+        heapify(sinks)
 
+    selection = [y for y in range(g) if in_set[y]]
     if not (m1.is_independent(selection) and m2.is_independent(selection)):
         raise InternalError("intersection result is not independent in both matroids")
     return frozenset(selection)
@@ -406,14 +461,13 @@ def _cheapest_path(
     pot: list[int],
     in_set: list[bool],
     free: list[int],
-    sinks: set[int],
     low: int,
     scale: int,
 ) -> list[int] | None:
     """One full round: the shortest path from the source to a sink, its
     nodes listed from the sink back, or None when no sink is reachable.
     ``free`` lists the elements outside I that the first matroid can
-    add, and ``sinks`` those that the second can.
+    add; the sinks are read from ``ctx2``'s counts.
     Moves ``pot`` to the round's distances capped as the module
     docstring says; toggling the path is left to the caller."""
     g = len(weights)
@@ -428,7 +482,8 @@ def _cheapest_path(
     pred = [-1] * (g + 1)
     dist[src] = 0
     heap = [(0, src)]  # the source and elements of I only
-    entering, circuit = ctx1.entering, ctx2.circuit
+    entering = ctx1.entering
+    part_of, counts, caps, members = ctx2.part_of, ctx2.counts, ctx2.capacities, ctx2.members
     best, best_dist = -1, inf  # best_dist is unreduced
     bound = inf  # no sink beats best through a node keyed past this
     while heap and heap[0][0] <= bound:
@@ -449,13 +504,14 @@ def _cheapest_path(
                 if ny > bound:
                     continue
                 full = ny + pot[y] * scale
-                if y in sinks:
+                i = part_of[y]
+                if counts[i] < caps[i]:  # y is a sink
                     if full < best_dist or (full == best_dist and y < best):
                         best, best_dist = y, full
                         bound = full - low * scale
                     continue
                 # y passes its new distance straight on to its circuit.
-                for x in circuit(y):
+                for x in members[i]:
                     nx = full + into[x]
                     if nx <= ny:
                         raise InternalError("potentials are not feasible")

@@ -100,7 +100,9 @@ class HostKind:
         return self.side[v]
 
     def admits_edge(self, u: int, v: int) -> bool:
-        return u != v and (self.side is None or self.side_of(u) != self.side_of(v))
+        """Whether u-v can be a host edge; u and v must be host vertices."""
+        side = self.side
+        return u != v and (side is None or side[u] != side[v])
 
     def validate_graph(self, g: WeightedGraph) -> None:
         """Check that g could be a subgraph of this host."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -131,6 +132,23 @@ def sparse_graph(rng, n):
     return WeightedGraph(n, [(u, v, 1) for u, v in pairs])
 
 
+def component_size(g, selection, v):
+    """How many vertices the edges ``selection`` connect to v."""
+    adj = {}
+    for i in selection:
+        a, b, _ = g.edges[i]
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    seen = {v}
+    stack = [v]
+    while stack:
+        for w in adj.get(stack.pop(), ()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen)
+
+
 def star_partition(rng, g):
     """Partition matroid capping, for each vertex, the edges assigned to
     it (each edge goes to one endpoint picked by a random coloring)."""
@@ -143,10 +161,20 @@ def star_partition(rng, g):
 
 
 class TestContexts:
-    """Right after ``prepare`` and after every ``add``, each context answer
-    equals its definition through ``is_independent`` alone: y outside I is
-    addable iff I + y is independent, and a non-addable y's circuit holds
-    each x of I for which I - x + y is independent."""
+    """Right after ``prepare`` and after every ``add``, ``cut`` or
+    ``remove``, each context answer equals its definition through
+    ``is_independent`` alone: y outside I is addable iff I + y is
+    independent, and a non-addable y's circuit holds each x of I for
+    which I - x + y is independent.  The answers are read from the
+    context's arrays, as the solver reads them."""
+
+    @staticmethod
+    def addable(m, ctx, y):
+        if isinstance(m, GraphicMatroid):
+            u, v, _ = m.graph.edges[y]
+            return ctx.comp[u] != ctx.comp[v]
+        i = ctx.part_of[y]
+        return ctx.counts[i] < ctx.capacities[i]
 
     def check(self, m, ctx, selection):
         outside = [y for y in range(m.ground_size) if y not in selection]
@@ -155,41 +183,94 @@ class TestContexts:
             y: set(reference_circuit(m, selection, y)) for y in outside if y not in addable
         }
         for y in outside:
-            assert ctx.addable(y) == (y in addable), (selection, y)
+            assert self.addable(m, ctx, y) == (y in addable), (selection, y)
         if isinstance(m, GraphicMatroid):
+            for r in range(m.graph.vertex_count):
+                if ctx.comp[r] == r:
+                    assert ctx.size[r] == component_size(m.graph, selection, r), (selection, r)
             for x in selection:
                 want = {y for y, circuit in circuits.items() if x in circuit}
                 got = ctx.entering(x)
                 assert len(got) == len(want) and set(got) == want, (selection, x)
         else:
             for y, want in circuits.items():
-                got = ctx.circuit(y)
+                got = ctx.members[ctx.part_of[y]]
                 assert len(got) == len(want) and set(got) == want, (selection, y)
 
-    def grow(self, rng, m):
-        """Add random addable elements one at a time, starting from a
-        prepared random independent set, checking after every add."""
-        order = list(range(m.ground_size))
-        rng.shuffle(order)
+    def start(self, rng, m, order):
+        """A prepared random independent set, checked."""
         selection = []
         for y in order[: rng.randint(0, len(order))]:
             if m.is_independent(selection + [y]):
                 selection.append(y)
         ctx = m.prepare(selection)
         self.check(m, ctx, selection)
+        return ctx, selection
+
+    def grow(self, rng, m):
+        """Add random addable elements one at a time, starting from a
+        prepared random independent set, checking after every add."""
+        order = list(range(m.ground_size))
+        rng.shuffle(order)
+        ctx, selection = self.start(rng, m, order)
         # Each check calls entering(), so each add must also drop the
         # index that call built.
         for y in order:
-            if y not in selection and ctx.addable(y):
+            if y not in selection and self.addable(m, ctx, y):
                 ctx.add(y)
                 selection.append(y)
                 self.check(m, ctx, selection)
+
+    def exchange(self, rng, m, sides):
+        """From a prepared random independent set, take random members
+        out (``cut`` or ``remove``) and put addable elements in, checking
+        after every step; a member just taken out is sometimes put
+        straight back.  Each check calls entering(), so every cut must
+        drop the index that call built.  For a forest, ``sides`` counts
+        the cuts whose child end's side was the smaller and the larger
+        one."""
+        graphic = isinstance(m, GraphicMatroid)
+        order = list(range(m.ground_size))
+        rng.shuffle(order)
+        ctx, selection = self.start(rng, m, order)
+        for _ in range(m.ground_size):
+            if selection and rng.random() < 0.5:
+                x = rng.choice(selection)
+                selection.remove(x)
+                if graphic:
+                    a, b, _ = m.graph.edges[x]
+                    child, other = (a, b) if ctx.parent_vertex[a] == b else (b, a)
+                    sizes = [component_size(m.graph, selection, v) for v in (child, other)]
+                    sides["smaller" if sizes[0] <= sizes[1] else "larger"] += 1
+                    ctx.cut(x)
+                else:
+                    ctx.remove(x)
+                self.check(m, ctx, selection)
+                if rng.random() < 0.3:
+                    ctx.add(x)
+                    selection.append(x)
+                    self.check(m, ctx, selection)
+            else:
+                addable = [y for y in order if y not in selection and self.addable(m, ctx, y)]
+                if addable:
+                    y = rng.choice(addable)
+                    ctx.add(y)
+                    selection.append(y)
+                    self.check(m, ctx, selection)
 
     def test_forest_context(self):
         rng = random.Random("forest contexts")
         for _ in range(60):
             g = sparse_graph(rng, rng.randint(1, 30))
             self.grow(rng, GraphicMatroid(g))
+
+    def test_forest_context_exchanges(self):
+        rng = random.Random("forest exchanges")
+        sides = Counter()
+        for _ in range(40):
+            g = sparse_graph(rng, rng.randint(1, 30))
+            self.exchange(rng, GraphicMatroid(g), sides)
+        assert sides["smaller"] > 20 and sides["larger"] > 20, sides
 
     def test_partition_context(self):
         rng = random.Random("partition contexts")
@@ -198,6 +279,14 @@ class TestContexts:
             if g.edge_count:
                 self.grow(rng, random_partition(rng, g.edge_count))
                 self.grow(rng, star_partition(rng, g))
+
+    def test_partition_context_exchanges(self):
+        rng = random.Random("partition exchanges")
+        for _ in range(40):
+            g = sparse_graph(rng, rng.randint(2, 24))
+            if g.edge_count:
+                self.exchange(rng, random_partition(rng, g.edge_count), None)
+                self.exchange(rng, star_partition(rng, g), None)
 
 
 class TestMinWeightCommonBase:
