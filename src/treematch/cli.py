@@ -9,7 +9,10 @@ command line, such as an unknown command or an option value argparse
 cannot parse, also exits 2, with argparse's usage message on stderr and
 nothing on stdout.  The report always carries the four keys ``status``,
 ``value``, ``edges``, ``certificate`` (null where not applicable), plus
-``reason`` when infeasible.
+``reason`` when infeasible.  Reports and reduction metadata are written
+byte for byte as ``json.dumps(doc, indent=2)`` would write them, by a loop
+over the open dicts and lists that joins each list of ints, of strs or of
+int rows in one go.
 """
 
 from __future__ import annotations
@@ -83,108 +86,64 @@ def _load(path: str) -> WeightedGraph:
 
 
 _ENCODE = json.JSONEncoder().encode
-_LEAVES = frozenset((str, int, float, bool, type(None)))
-
-
-def _leaf(value) -> str:
-    """The JSON text of a str, int, float, bool or None."""
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if type(value) is int:
-        return str(value)
-    return _ENCODE(value)
 
 
 def _json(doc: dict) -> str:
-    """``json.dumps(doc, indent=2) + "\\n"``, byte for byte.
-
-    With ``indent`` set, the stdlib falls back to its pure-Python encoder;
-    this loop over an explicit stack writes the same text faster.  A list
-    of leaves (str, int, float, bool, None) is written with one
-    ``str.join``, and a list of non-empty int lists or tuples with one
-    ``%`` (see ``_flat_list``).  None, bools and ints are written
-    directly; strings, floats and keys go to ``json.JSONEncoder``.
-    Dict keys must be str, which is all the CLI writes, and the doc must be
-    a tree (json.dumps rejects cycles, this loop would not end).
-    """
+    """``json.dumps(doc, indent=2) + "\\n"``, byte for byte, but faster than
+    the stdlib's pure-Python indent path.  Dict keys must be str, the doc a
+    tree.  Nothing in the package recurses: each open dict or list waits on
+    the stack as its (text before an item, item) pairs and closing text."""
     out: list[str] = []
-    # (value, depth); depth -1 marks text to copy as it is.
-    stack: list[tuple] = [(doc, 0)]
+    stack = [(iter([("", doc)]), "\n")]
     while stack:
-        value, depth = stack.pop()
-        if depth < 0:
-            out.append(value)
-            continue
-        if isinstance(value, dict):
-            if not value:
-                out.append("{}")
+        depth = len(stack) - 1
+        for head, item in stack[-1][0]:
+            out.append(head)
+            if isinstance(item, dict) and item:
+                for k in item:
+                    if not isinstance(k, str):
+                        raise TypeError(f"report keys must be str, not {type(k).__name__}")
+                keys = [_ENCODE(k) + ": " for k in item]
+                children, opener, closer = item.values(), "{", "}"
+            elif isinstance(item, (list, tuple)) and item:
+                text = _flat_list(item, depth)
+                if text is not None:
+                    out.append(text)
+                    continue
+                keys, children, opener, closer = [""] * len(item), item, "[", "]"
+            else:  # str, int, float, bool, None, {} or []
+                out.append(
+                    str(item) if type(item) is int else "null" if item is None else _ENCODE(item)
+                )
                 continue
-            for key in value:
-                if not isinstance(key, str):
-                    raise TypeError(f"report keys must be str, not {type(key).__name__}")
-            opener, closer = "{", "}"
-            heads = [_ENCODE(key) + ": " for key in value]
-            children = list(value.values())
-        elif isinstance(value, (list, tuple)):
-            if not value:
-                out.append("[]")
-                continue
-            text = _flat_list(value, depth)
-            if text is not None:
-                out.append(text)
-                continue
-            opener, closer = "[", "]"
-            heads = [""] * len(value)
-            children = value
+            inner = "\n" + "  " * (depth + 1)
+            heads = [("," if i else opener) + inner + key for i, key in enumerate(keys)]
+            stack.append((zip(heads, children), "\n" + "  " * depth + closer))
+            break
         else:
-            out.append(_leaf(value))
-            continue
-        inner = "\n" + "  " * (depth + 1)
-        out.append(opener)
-        stack.append(("\n" + "  " * depth + closer, -1))
-        for i in range(len(children) - 1, -1, -1):
-            child = children[i]
-            head = ("," if i else "") + inner + heads[i]
-            if type(child) in _LEAVES:
-                stack.append((head + _leaf(child), -1))
-            else:
-                stack.append((child, depth + 1))
-                stack.append((head, -1))
-    return "".join(out) + "\n"
+            out.append(stack.pop()[1])
+    return "".join(out)
 
 
 def _flat_list(xs: list | tuple, depth: int) -> str | None:
-    """The indented text of a non-empty list of leaves or of non-empty int
-    lists at ``depth``, or None for any other list.
-
-    A list of str alone goes through ``encode_basestring_ascii``, which
-    is what ``json.JSONEncoder.encode`` calls for a str.  Int rows are
-    never formatted one by one: the per-row-length ``%d`` templates,
-    picked in row order, are joined into one template, and one ``%``
-    fills it with every entry of every row.  A bool, or any other
-    type, among the entries sends the list to the general path.
+    """The text at ``depth`` of a non-empty list of ints, of strs or of
+    non-empty int rows, or None for any other list (a bool among ints, say).
+    Rows are not written one by one: one ``%`` fills the joined per-row
+    ``%d`` templates with every entry of every row.
     """
     inner = "\n" + "  " * (depth + 1)
     outer = "\n" + "  " * depth + "]"
     kinds = set(map(type, xs))
-    if kinds <= _LEAVES:
-        fmt = str if kinds == {int} else encode_basestring_ascii if kinds == {str} else _leaf
+    if kinds == {int} or kinds == {str}:
+        fmt = str if kinds == {int} else encode_basestring_ascii
         return "[" + inner + ("," + inner).join(map(fmt, xs)) + outer
     if kinds <= {list, tuple} and all(xs):
         flat = tuple(chain.from_iterable(xs))
-        if set(map(type, flat)) != {int}:
-            return None
-        row_inner = inner + "  "
-        # One "%d,<indent>%d..." template per row length.
-        shapes = {k: ("," + row_inner).join(["%d"] * k) for k in set(map(len, xs))}
-        template = (inner + "]," + inner + "[" + row_inner).join(
-            map(shapes.__getitem__, map(len, xs))
-        )
-        return "[" + inner + "[" + row_inner + template % flat + inner + "]" + outer
+        if set(map(type, flat)) == {int}:
+            row_inner = inner + "  "
+            shapes = {k: ("," + row_inner).join(["%d"] * k) for k in set(map(len, xs))}
+            template = (inner + "]," + inner + "[" + row_inner).join(map(shapes.get, map(len, xs)))
+            return "[" + inner + "[" + row_inner + template % flat + inner + "]" + outer
     return None
 
 
@@ -289,8 +248,7 @@ def _cmd_minsbst_bipartite(args: argparse.Namespace) -> int:
     try:
         res = min_sbst_bipartite(g)
     except (Infeasible, DisconnectedError, UnbalancedError) as exc:
-        reason = exc.reason if isinstance(exc, Infeasible) else str(exc)
-        return _emit("infeasible", reason=reason)
+        return _emit("infeasible", reason=str(exc))
     return _emit(
         "feasible",
         value=res.total_weight,
@@ -640,7 +598,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except (TreematchError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (TreematchError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -298,6 +298,81 @@ def test_bench_scale_report_digests(tmp_path, capsys, command, seed):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SCALE_REPORT_DIGESTS[(command, seed)]
 
 
+STAR = WeightedGraph(4, [(0, 1, 1), (0, 2, 1), (0, 3, 1)])
+C4W = WeightedGraph(4, [(0, 1, 1), (1, 2, 2), (2, 3, 3), (3, 0, 4)])
+
+# One CLI call per report shape: feasible, each infeasible reason, null
+# certificates and value-only reports.  "IN" stands for the input file.
+REPORT_SHAPES = {
+    "pmst-check": (("pmst-check", "IN"), complete(4), 0),
+    "pmst-check-disconnected": (("pmst-check", "IN"), WeightedGraph(4, [(0, 1, 1), (2, 3, 1)]), 2),
+    "pmst-check-no-matching": (("pmst-check", "IN"), WeightedGraph(3, [(0, 1, 1), (1, 2, 1)]), 2),
+    "aug": (("aug", "IN"), random_graph(12, 0.15, seed=1), 0),
+    "aug-bipartite": (("aug", "IN", "--host", "bipartite"), random_bipartite(6, 6, 0.2, seed=2), 0),
+    "aug-odd": (("aug", "IN"), WeightedGraph(5, [(0, 1, 1)]), 2),
+    "minpmst2": (("minpmst2", "IN"), random_graph(12, 0.15, seed=1), 0),
+    "minpmst2-bipartite": (
+        ("minpmst2", "IN", "--host", "bipartite"),
+        random_bipartite(6, 6, 0.2, seed=2),
+        0,
+    ),
+    "minpmst2-odd": (("minpmst2", "IN"), WeightedGraph(5, [(0, 1, 1)]), 2),
+    "sbst-check": (("sbst-check", "IN"), WeightedGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)]), 0),
+    "sbst-check-star": (("sbst-check", "IN"), STAR, 2),
+    "minsbst-bipartite": (("minsbst-bipartite", "IN"), C4W, 0),
+    "minsbst-bipartite-tree": (
+        ("minsbst-bipartite", "IN"),
+        WeightedGraph(6, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (1, 4, 1), (2, 5, 1)]),
+        2,
+    ),
+    "minsbst-bipartite-unbalanced": (
+        ("minsbst-bipartite", "IN"),
+        WeightedGraph(3, [(0, 1, 1), (1, 2, 1)]),
+        2,
+    ),
+    "oracle-minpmst": (("oracle", "minpmst", "IN"), complete(4), 0),
+    "oracle-minpmst-star": (("oracle", "minpmst", "IN"), STAR, 2),
+    "oracle-minsbst": (("oracle", "minsbst", "IN"), C4W, 0),
+    "oracle-minsbst-star": (("oracle", "minsbst", "IN"), STAR, 2),
+    "oracle-optaug": (("oracle", "optaug", "IN"), WeightedGraph(6, []), 0),
+    "oracle-optaug-odd": (("oracle", "optaug", "IN"), WeightedGraph(5, []), 2),
+    "oracle-sat": (("oracle", "sat", "IN"), "p cnf 1 1\n1 1 1 0\n", 0),
+    "oracle-sat-unsat": (("oracle", "sat", "IN"), "p cnf 1 2\n1 1 1 0\n-1 -1 -1 0\n", 2),
+}
+
+
+def indent_2(text):
+    """The text json.dumps(..., indent=2) gives for what ``text`` holds."""
+    return json.dumps(json.loads(text), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("shape", sorted(REPORT_SHAPES))
+def test_reports_are_json_dumps_text(tmp_path, capsys, shape):
+    argv, source, expected_code = REPORT_SHAPES[shape]
+    path = tmp_path / "input"
+    path.write_text(source if isinstance(source, str) else format_graph(source))
+    code, out, err = run(capsys, [str(path) if arg == "IN" else arg for arg in argv])
+    assert (code, err) == (expected_code, "")
+    assert out == indent_2(out)
+
+
+@pytest.mark.parametrize(
+    "command, source",
+    [
+        ("hc-to-minpmst", cube()),
+        ("sat-to-sbst", "p cnf 1 1\n1 1 1 0\n"),
+        ("replace-leaves", STAR),
+    ],
+)
+def test_reduction_meta_is_json_dumps_text(tmp_path, capsys, command, source):
+    path = tmp_path / "input"
+    path.write_text(source if isinstance(source, str) else format_graph(source))
+    code, _, _ = run(capsys, ["reduce", command, str(path), "--out", str(tmp_path / "r.graph")])
+    assert code == 0
+    meta = (tmp_path / "r.graph.meta.json").read_text()
+    assert meta == indent_2(meta)
+
+
 class TestAug:
     def test_empty_complete_host(self, tmp_path, capsys):
         path = write_graph(tmp_path, "e6.graph", WeightedGraph(6, []))
